@@ -15,7 +15,7 @@ records both axes.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -351,7 +351,10 @@ def run_sweep(cfg, csv_path=None):
 
 
 def run_lms_trace(cfg):
-    """Run the pre-FFT LMS over training frames; returns (trace, chosen mu).
+    """Run the pre-FFT LMS over training frames.
+
+    Returns ``(trace, mu, initial_mse)``: the LMS trace, the chosen step
+    size, and the error power of the unadapted (zero-weight) equalizer.
 
     When lms_mu is unset the step size is picked by a sweep minimizing the
     final 100-step training MSE.

@@ -2,7 +2,53 @@ import numpy as np
 import pytest
 
 from ofdmlink.errors import FramingError
-from ofdmlink.fec import DEFAULT_CODE, conv_encode, viterbi_decode
+from ofdmlink.fec import DEFAULT_CODE, ConvCodeSpec, conv_encode, viterbi_decode
+
+
+def _reference_viterbi(coded, spec=DEFAULT_CODE):
+    """Per-step add-compare-select decoder, kept as the tie-rule oracle.
+
+    One trellis step per loop iteration; on a metric tie the survivor is the
+    lower-numbered predecessor state.
+    """
+    coded = np.asarray(coded, dtype=np.uint8)
+    n_steps = len(coded) // 2
+    rx_sym = (coded[0::2].astype(np.int64) << 1) | coded[1::2]
+
+    n = spec.n_states
+    dest = np.arange(n)
+    bit = dest & 1
+    pred0 = dest >> 1
+    pred1 = (dest >> 1) | (n >> 1)
+    g1, g2 = spec.generators
+
+    def out_sym(pred):
+        reg = (pred << 1) | bit
+        o1 = np.array([bin(r & g1).count("1") & 1 for r in reg])
+        o2 = np.array([bin(r & g2).count("1") & 1 for r in reg])
+        return (o1 << 1) | o2
+
+    popcount = np.array([0, 1, 1, 2])
+    bm0 = popcount[out_sym(pred0)[None, :] ^ rx_sym[:, None]]
+    bm1 = popcount[out_sym(pred1)[None, :] ^ rx_sym[:, None]]
+
+    big = np.iinfo(np.int64).max // 2
+    pm = np.full(n, big, dtype=np.int64)
+    pm[0] = 0
+    choices = np.empty((n_steps, n), dtype=np.uint8)
+    for t in range(n_steps):
+        m0 = pm[pred0] + bm0[t]
+        m1 = pm[pred1] + bm1[t]
+        take1 = m1 < m0  # ties go to pred0, the lower-numbered predecessor
+        choices[t] = take1
+        pm = np.where(take1, m1, m0)
+
+    state = 0  # zero-terminated
+    decoded = np.empty(n_steps, dtype=np.uint8)
+    for t in range(n_steps - 1, -1, -1):
+        decoded[t] = state & 1
+        state = pred1[state] if choices[t, state] else pred0[state]
+    return decoded[: n_steps - spec.tail_bits]
 
 
 def codebook(length):
@@ -83,3 +129,39 @@ def test_ml_equivalence_brute_force():
 def test_odd_length_rejected():
     with pytest.raises(FramingError):
         viterbi_decode(np.zeros(13, dtype=np.uint8))
+
+
+def test_non_binary_rejected():
+    word = conv_encode(np.zeros(10, dtype=np.uint8))
+    word[3] = 2
+    with pytest.raises(FramingError, match="0 or 1"):
+        viterbi_decode(word)
+
+
+@pytest.mark.parametrize("flip_rate", [0.05, 0.2, 0.5])
+def test_matches_per_step_reference_every_length(flip_rate):
+    rng = np.random.default_rng(4)
+    for length in range(1, 41):
+        for _ in range(5):
+            word = conv_encode(rng.integers(0, 2, length).astype(np.uint8))
+            noisy = word ^ (rng.random(len(word)) < flip_rate).astype(np.uint8)
+            assert np.array_equal(viterbi_decode(noisy), _reference_viterbi(noisy)), (
+                f"length {length}")
+
+
+def test_matches_per_step_reference_long_block():
+    rng = np.random.default_rng(5)
+    word = conv_encode(rng.integers(0, 2, 44000).astype(np.uint8))
+    noisy = word ^ (rng.random(len(word)) < 0.5).astype(np.uint8)
+    assert np.array_equal(viterbi_decode(noisy), _reference_viterbi(noisy))
+
+
+@pytest.mark.parametrize("spec", [ConvCodeSpec(3, (0o7, 0o5)),
+                                  ConvCodeSpec(5, (0o35, 0o23))])
+def test_matches_per_step_reference_other_codes(spec):
+    rng = np.random.default_rng(6)
+    for length in range(1, 30):
+        word = conv_encode(rng.integers(0, 2, length).astype(np.uint8), spec)
+        noisy = word ^ (rng.random(len(word)) < 0.2).astype(np.uint8)
+        assert np.array_equal(viterbi_decode(noisy, spec),
+                              _reference_viterbi(noisy, spec))
