@@ -10,6 +10,7 @@ carrying 1/(K+1), synthesized as a sum of sinusoids with random arrival
 angles and phases so the autocorrelation converges to J0(2 pi f_d tau).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,12 +83,24 @@ def static_multipath(signal, taps):
 
 
 def _jakes_process(n_samples, doppler_norm, rng):
-    """Unit-power complex process with Jakes Doppler spectrum."""
+    """Unit-power complex process with Jakes Doppler spectrum.
+
+    The sum-of-sinusoids model of Zheng & Xiao (IEEE Trans. Commun. 51(6),
+    2003), g(t) = sum_k exp(j(w_k t + phi_k)) / sqrt(32) with
+    w_k = 2 pi f_d cos(alpha_k), has a phase linear in t.  With t = B q + r
+    and B = max(1, isqrt(n)), each term is A[q, k] C[k, r], where
+    A = exp(j(outer(B q, w) + phi)) has shape (ceil(n / B), 32) and
+    C = exp(j outer(w, r)) has shape (32, B).  So g = (A @ C).ravel()[:n]
+    / sqrt(32) takes about 64 sqrt(n) exponentials instead of 32 n.
+    """
     alpha = rng.uniform(_N_SINUSOIDS) * 2 * np.pi
     phi = rng.uniform(_N_SINUSOIDS) * 2 * np.pi
-    t = np.arange(n_samples)[:, None]
-    phase = 2 * np.pi * doppler_norm * t * np.cos(alpha)[None, :] + phi[None, :]
-    return np.exp(1j * phase).sum(axis=1) / np.sqrt(_N_SINUSOIDS)
+    w = 2 * np.pi * doppler_norm * np.cos(alpha)
+    block = max(1, math.isqrt(n_samples))
+    starts = np.arange(-(-n_samples // block)) * block
+    a = np.exp(1j * (np.outer(starts, w) + phi))
+    c = np.exp(1j * np.outer(w, np.arange(block)))
+    return (a @ c).ravel()[:n_samples] / np.sqrt(_N_SINUSOIDS)
 
 
 def rician_taps(cfg, n_samples, rng):
@@ -105,11 +118,9 @@ def rician_taps(cfg, n_samples, rng):
     los = np.sqrt(k / (k + 1.0))
     diffuse = np.sqrt(1.0 / (k + 1.0))
     doppler_norm = cfg.doppler_hz / cfg.sample_rate_hz
-    traj = np.empty((len(taps), n_samples), dtype=np.complex128)
-    for l, tap in enumerate(taps):
-        g = _jakes_process(n_samples, doppler_norm, rng)
-        traj[l] = np.abs(tap) * (los + diffuse * g)
-    return ChannelRealization(traj, noise_variance)
+    g = np.array([_jakes_process(n_samples, doppler_norm, rng) for _ in taps])
+    return ChannelRealization(np.abs(taps)[:, None] * (los + diffuse * g),
+                              noise_variance)
 
 
 def apply_fading(signal, realization):

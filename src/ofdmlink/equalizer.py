@@ -97,11 +97,16 @@ def equalize_pre_fft(rx, training, n_taps, step_size,
     the training span the weights are frozen, or (decision-directed mode)
     updates continue with d = decision_fn(y).
 
+    Past the adaptive span, y = w^H x is an FIR filter with the frozen taps
+    conj(w): out[m] = convolve(rx, conj(w))[m + delay], in one call.
+
     Returns (equalized, trace); equalized[m] estimates the transmitted
     sample m, same length as rx.
     """
     rx = np.asarray(rx, dtype=np.complex128)
     training = np.asarray(training, dtype=np.complex128)
+    if n_taps < 1:
+        raise ConfigurationError(f"n_taps must be >= 1, got {n_taps}")
     if len(training) < n_taps:
         raise ConfigurationError("training shorter than the filter")
     if mode not in ("train_then_freeze", "train_then_decision_directed"):
@@ -111,28 +116,22 @@ def equalize_pre_fft(rx, training, n_taps, step_size,
 
     delay = n_taps // 2
     state = LmsState.zeros(n_taps, step_size)
-    padded = np.concatenate(
-        [np.zeros(n_taps - 1, dtype=np.complex128), rx,
-         np.zeros(delay, dtype=np.complex128)]
-    )
-    out = np.zeros(len(rx), dtype=np.complex128)
-    sq_errors = []
-    for n in range(len(rx) + delay):
-        m = n - delay
-        if m < 0:
-            continue
-        x = padded[n : n + n_taps][::-1]
+    padded = np.pad(rx, (n_taps - 1, delay))
+    n_adapt = (min(len(rx), len(training)) if mode == "train_then_freeze"
+               else len(rx))
+    out = np.empty(len(rx), dtype=np.complex128)
+    sq_errors = np.empty(n_adapt)
+    for m in range(n_adapt):
+        x = padded[m + delay : m + delay + n_taps][::-1]
         if m < len(training):
-            y, e = lms_step(state, x, training[m])
-            sq_errors.append(abs(e) ** 2)
-        elif mode == "train_then_decision_directed":
-            d = decision_fn(np.vdot(state.weights, x))
-            y, e = lms_step(state, x, d)
-            sq_errors.append(abs(e) ** 2)
+            d = training[m]
         else:
-            y = np.vdot(state.weights, x)
-        out[m] = y
-    trace = LmsTrace(np.array(sq_errors), state.weights.copy())
+            d = decision_fn(np.vdot(state.weights, x))
+        out[m], e = lms_step(state, x, d)
+        sq_errors[m] = abs(e) ** 2
+    out[n_adapt:] = np.convolve(rx, np.conj(state.weights))[
+        n_adapt + delay : len(rx) + delay]
+    trace = LmsTrace(sq_errors, state.weights.copy())
     return out, trace
 
 

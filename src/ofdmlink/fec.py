@@ -41,7 +41,9 @@ DEFAULT_CODE = ConvCodeSpec()
 
 def conv_encode(bits, spec=DEFAULT_CODE):
     """Encode with zero tail; output 2 * (len(bits) + 6) coded bits."""
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = np.asarray(bits)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise FramingError("message bits must be 0 or 1")
     padded = np.concatenate([bits, np.zeros(spec.tail_bits, dtype=np.uint8)])
     out = np.empty((len(padded), 2), dtype=np.uint8)
     for j, taps in enumerate(spec.generator_taps()):

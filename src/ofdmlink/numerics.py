@@ -1,9 +1,8 @@
-"""Core numerics: radix-2 FFT, seeded random streams and statistical helpers.
+"""Core numerics: FFT, seeded random streams and statistical helpers.
 
-The FFT is an iterative radix-2 decimation-in-time transform with an explicit
-bit-reversal pass, restricted to power-of-two lengths.  Forward transform is
-unnormalized, the inverse carries the 1/N factor.  Both accept batched input
-(transform along the last axis).
+The FFT is numpy's, restricted to the power-of-two lengths the OFDM grid
+uses.  Forward transform is unnormalized, the inverse carries the 1/N
+factor.  Both accept batched input (transform along the last axis).
 
 Random numbers come from a counter-based Philox generator keyed by
 (master_seed, stream_id), so independent streams are cheap to derive and
@@ -27,44 +26,22 @@ __all__ = [
 ]
 
 
-def _check_length(n):
+def _checked(x):
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.shape[-1]
     if n < 2 or (n & (n - 1)) != 0:
         raise ConfigurationError(f"FFT length must be a power of two >= 2, got {n}")
-
-
-def _bit_reverse_indices(n):
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+    return x
 
 
 def fft(x):
     """Forward DFT, X[k] = sum_n x[n] exp(-2j pi k n / N), along the last axis."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    _check_length(n)
-    out = x[..., _bit_reverse_indices(n)].copy()
-    m = 1
-    while m < n:
-        half = m
-        m *= 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / m)
-        view = out.reshape(x.shape[:-1] + (n // m, m))
-        even = view[..., :half].copy()
-        odd = view[..., half:] * tw
-        view[..., :half] = even + odd
-        view[..., half:] = even - odd
-    return out
+    return np.fft.fft(_checked(x))
 
 
 def ifft(x):
     """Inverse DFT with the 1/N factor, along the last axis."""
-    x = np.asarray(x, dtype=np.complex128)
-    return np.conj(fft(np.conj(x))) / x.shape[-1]
+    return np.fft.ifft(_checked(x))
 
 
 class RngStream:

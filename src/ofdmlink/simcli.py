@@ -84,6 +84,10 @@ class SimConfig:
                 f"unknown receiver_mode {self.receiver_mode!r}")
         if self.n_bits < 1:
             raise ConfigurationError("n_bits must be >= 1")
+        if self.lms_taps < 1:
+            raise ConfigurationError("lms_taps must be >= 1")
+        if self.training_symbols < 0:
+            raise ConfigurationError("training_symbols must be >= 0")
         for s in self.snr_grid_db:
             if not math.isfinite(s):
                 raise ConfigurationError("SNR grid values must be finite")
@@ -134,6 +138,13 @@ def parse_config(text):
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value
 
+    def number(key, cast, default=None):
+        try:
+            return cast(raw[key]) if key in raw else default
+        except ValueError:
+            raise ConfigurationError(
+                f"{key}: cannot read {raw[key]!r} as {cast.__name__}") from None
+
     kwargs = {}
     if "modulation" in raw:
         kwargs["modulations"] = tuple(
@@ -146,15 +157,15 @@ def parse_config(text):
                       ("training_symbols", int), ("k_factor", float),
                       ("doppler_hz", float), ("lms_mu", float)):
         if key in raw:
-            kwargs[key] = cast(raw[key])
+            kwargs[key] = number(key, cast)
     if "normalize_taps" in raw:
         value = raw["normalize_taps"].lower()
         if value not in ("true", "false"):
             raise ConfigurationError("normalize_taps must be true or false")
         kwargs["normalize_taps"] = value == "true"
-    start = float(raw.get("snr_start_db", 0.0))
-    stop = float(raw.get("snr_stop_db", 50.0))
-    step = float(raw.get("snr_step_db", 2.0))
+    start = number("snr_start_db", float, 0.0)
+    stop = number("snr_stop_db", float, 50.0)
+    step = number("snr_step_db", float, 2.0)
     if step <= 0:
         raise ConfigurationError("snr_step_db must be > 0")
     grid = []
@@ -210,9 +221,10 @@ def _source_bits(cfg, rng):
 
 
 def _channel_response(taps, grid):
-    """Frequency response on the active bins from time-domain taps."""
-    padded = np.zeros(grid.fft_size, dtype=np.complex128)
-    padded[: len(taps)] = taps
+    """Frequency response on every FFT bin from taps of shape (..., n_taps)."""
+    taps = np.asarray(taps)
+    padded = np.zeros(taps.shape[:-1] + (grid.fft_size,), dtype=np.complex128)
+    padded[..., : taps.shape[-1]] = taps
     return fft(padded)
 
 
@@ -311,10 +323,8 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
                 len(chan.taps0), n_frames, grid.symbol_len
             )
             frame_taps = traj.mean(axis=2).T  # (n_frames, n_taps)
-            data_vals = np.empty_like(data_rx)
-            for i in range(n_frames):
-                h_data = _channel_response(frame_taps[i], grid)[grid.data_bins]
-                data_vals[i] = _safe_divide(data_rx[i], h_data)
+            h_data = _channel_response(frame_taps, grid)[:, grid.data_bins]
+            data_vals = _safe_divide(data_rx, h_data)
 
     rx_symbols = data_vals.ravel()
     if pad_syms:

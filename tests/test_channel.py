@@ -169,3 +169,28 @@ def test_realization_determinism():
     a = rician_taps(cfg, 300, RngStream(11, 2)).tap_trajectories
     b = rician_taps(cfg, 300, RngStream(11, 2)).tap_trajectories
     assert np.array_equal(a, b)
+
+
+def _jakes_direct_sum(n_samples, doppler_norm, rng):
+    """The n x 32 sum of sinusoids, one exponential per (sample, sinusoid)."""
+    alpha = rng.uniform(32) * 2 * np.pi
+    phi = rng.uniform(32) * 2 * np.pi
+    t = np.arange(n_samples)[:, None]
+    phase = 2 * np.pi * doppler_norm * t * np.cos(alpha)[None, :] + phi[None, :]
+    return np.exp(1j * phase).sum(axis=1) / np.sqrt(32)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 200, 401, 41_280])
+def test_jakes_block_product_matches_direct_sum(n):
+    got = _jakes_process(n, 100.0 / 4000.0, RngStream(12, n))
+    expected = _jakes_direct_sum(n, 100.0 / 4000.0, RngStream(12, n))
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - expected)) < 1e-9
+
+
+def test_jakes_consumes_64_uniforms():
+    rng = RngStream(13, 0)
+    _jakes_process(50, 0.01, rng)
+    reference = RngStream(13, 0)
+    reference.uniform(64)
+    assert rng.uniform() == reference.uniform()

@@ -5,7 +5,7 @@ from ofdmlink.channel import DEFAULT_TAPS, static_multipath
 from ofdmlink.equalizer import (LmsState, PilotLmsEstimator, equalize_pre_fft,
                                 instantaneous_covariance, lms_step,
                                 sweep_step_size)
-from ofdmlink.errors import DivergenceError
+from ofdmlink.errors import ConfigurationError, DivergenceError
 from ofdmlink.modem import constellation, map_bits
 from ofdmlink.numerics import fft
 from ofdmlink.ofdm import assemble, default_grid
@@ -218,3 +218,77 @@ def test_divergence_reports_step_index():
         for i in range(1000):
             lms_step(state, [2.0], 1.0)
     assert exc.value.step > 0
+
+
+def _reference_pre_fft(rx, training, n_taps, step_size, decision_fn=None):
+    """Per-sample loop over the whole of rx: LMS updates over the training
+    span (and beyond it with decision_fn), frozen weights after."""
+    delay = n_taps // 2
+    state = LmsState.zeros(n_taps, step_size)
+    padded = np.concatenate([np.zeros(n_taps - 1, complex), rx,
+                             np.zeros(delay, complex)])
+    out = np.zeros(len(rx), dtype=complex)
+    sq_errors = []
+    for m in range(len(rx)):
+        x = padded[m + delay : m + delay + n_taps][::-1]
+        if m < len(training):
+            y, e = lms_step(state, x, training[m])
+            sq_errors.append(abs(e) ** 2)
+        elif decision_fn is not None:
+            y, e = lms_step(state, x, decision_fn(np.vdot(state.weights, x)))
+            sq_errors.append(abs(e) ** 2)
+        else:
+            y = np.vdot(state.weights, x)
+        out[m] = y
+    return out, np.array(sq_errors), state.weights
+
+
+def _noisy_table_channel(n, seed):
+    rng = np.random.default_rng(seed)
+    tx = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
+    rx = static_multipath(tx, DEFAULT_TAPS / np.linalg.norm(DEFAULT_TAPS))
+    return tx, rx + 0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+@pytest.mark.parametrize("n_rx, n_train, n_taps", [
+    (3000, 640, 11),  # long frozen span
+    (700, 640, 12),   # even filter length
+    (645, 640, 11),   # rx shorter than training + delay
+    (600, 640, 11),   # rx shorter than training: no frozen span
+    (400, 400, 1),
+])
+def test_pre_fft_frozen_span_matches_per_sample_loop(n_rx, n_train, n_taps):
+    tx, rx = _noisy_table_channel(max(n_rx, n_train), seed=n_rx)
+    out, trace = equalize_pre_fft(rx[:n_rx], tx[:n_train], n_taps, 3e-3)
+    ref_out, ref_sq, ref_w = _reference_pre_fft(rx[:n_rx], tx[:n_train],
+                                                n_taps, 3e-3)
+    assert np.array_equal(trace.squared_errors, ref_sq)
+    assert np.array_equal(trace.final_weights, ref_w)
+    assert np.max(np.abs(out - ref_out)) < 1e-12
+
+
+def test_pre_fft_decision_directed_matches_per_sample_loop():
+    spec = constellation("qpsk")
+
+    def decide(y):
+        return spec.points[np.argmin(np.abs(spec.points - y))]
+
+    tx = _training_signal(3, seed=5)
+    rx = static_multipath(tx, DEFAULT_TAPS / np.linalg.norm(DEFAULT_TAPS))
+    n_train = GRID.symbol_len
+    out, trace = equalize_pre_fft(rx, tx[:n_train], 11, 3e-3,
+                                  mode="train_then_decision_directed",
+                                  decision_fn=decide)
+    ref_out, ref_sq, ref_w = _reference_pre_fft(rx, tx[:n_train], 11, 3e-3,
+                                                decision_fn=decide)
+    assert len(trace.squared_errors) == len(rx)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(trace.squared_errors, ref_sq)
+    assert np.array_equal(trace.final_weights, ref_w)
+
+
+@pytest.mark.parametrize("n_taps", [0, -1])
+def test_pre_fft_rejects_empty_filter(n_taps):
+    tx = np.ones(10, complex)
+    with pytest.raises(ConfigurationError, match="n_taps"):
+        equalize_pre_fft(tx, tx, n_taps, 1e-2)

@@ -165,3 +165,9 @@ def test_matches_per_step_reference_other_codes(spec):
         noisy = word ^ (rng.random(len(word)) < 0.2).astype(np.uint8)
         assert np.array_equal(viterbi_decode(noisy, spec),
                               _reference_viterbi(noisy, spec))
+
+
+@pytest.mark.parametrize("message", [[2, 3, 0], [0, 1, -1], [0.5, 1.0]])
+def test_encoder_rejects_non_binary(message):
+    with pytest.raises(FramingError, match="message bits must be 0 or 1"):
+        conv_encode(message)

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from ofdmlink import cli
+from ofdmlink.channel import ChannelConfig, rician_taps
 from ofdmlink.errors import ConfigurationError
-from ofdmlink.numerics import binomial_ci, q_function
+from ofdmlink.numerics import RngStream, binomial_ci, q_function
+from ofdmlink.ofdm import default_grid
 from ofdmlink.simcli import (BerPoint, SimConfig, ebn0_from_esn0, emit_plot,
                              generate_source, parse_config, read_csv,
                              reconstruct_sine, run_point, run_sweep,
-                             write_csv, CSV_HEADER)
+                             write_csv, CSV_HEADER, _channel_response,
+                             _safe_divide)
 
 
 def test_source_quarter_period_samples():
@@ -59,6 +62,65 @@ def test_parse_config_defaults_and_overrides():
 def test_parse_config_rejects_unknown_key():
     with pytest.raises(ConfigurationError):
         parse_config("bogus = 1")
+
+
+@pytest.mark.parametrize("line", [
+    "n_bits = abc", "seed = 1.5", "lms_taps = eleven", "k_factor = high",
+    "snr_step_db = 2dB",
+])
+def test_parse_config_names_the_key_of_a_bad_number(line):
+    key = line.split()[0]
+    with pytest.raises(ConfigurationError, match=key):
+        parse_config(line)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lms_taps", 0), ("lms_taps", -3), ("training_symbols", -1),
+])
+def test_config_rejects_bad_lms_settings(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        SimConfig(**{field: value})
+    with pytest.raises(ConfigurationError, match=field):
+        parse_config(f"{field} = {value}")
+
+
+def test_batched_rician_zf_matches_per_frame_loop():
+    grid = default_grid()
+    n_frames = 9
+    chan = ChannelConfig(kind="rician", k_factor=3.0, doppler_hz=100.0)
+    traj = rician_taps(chan, n_frames * grid.symbol_len,
+                       RngStream(3, 0)).tap_trajectories
+    frame_taps = traj.reshape(4, n_frames, grid.symbol_len).mean(axis=2).T
+    rng = np.random.default_rng(3)
+    data_rx = rng.normal(size=(n_frames, len(grid.data_bins))) + 0j
+    expected = np.empty_like(data_rx)
+    for i in range(n_frames):
+        h_data = _channel_response(frame_taps[i], grid)[grid.data_bins]
+        expected[i] = _safe_divide(data_rx[i], h_data)
+    h_data = _channel_response(frame_taps, grid)[:, grid.data_bins]
+    assert np.array_equal(_safe_divide(data_rx, h_data), expected)
+
+
+# error counts at n_bits = 4000, seed 7, SNR 10 and 30 dB on streams 0 and 1,
+# recorded with the per-sample Jakes sum, the per-sample frozen LMS span,
+# the per-frame ZF loop and the radix-2 FFT
+RICIAN_COUNTS = {
+    ("known_channel_zf", "qpsk"): [360, 251],
+    ("known_channel_zf", "16qam"): [792, 657],
+    ("pilot_fd_lms", "qpsk"): [433, 275],
+    ("pilot_fd_lms", "16qam"): [993, 719],
+    ("pre_fft_lms", "qpsk"): [410, 235],
+    ("pre_fft_lms", "16qam"): [990, 845],
+}
+
+
+@pytest.mark.parametrize("receiver, modulation", sorted(RICIAN_COUNTS))
+def test_rician_point_counts_pinned(receiver, modulation):
+    cfg = SimConfig(modulations=(modulation,), channel="rician",
+                    receiver_mode=receiver, n_bits=4000, seed=7)
+    counts = [run_point(cfg, snr, modulation, stream_id=i).errors
+              for i, snr in enumerate((10.0, 30.0))]
+    assert counts == RICIAN_COUNTS[receiver, modulation]
 
 
 def test_run_point_deterministic():
