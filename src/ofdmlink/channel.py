@@ -39,7 +39,6 @@ class ChannelConfig:
     k_factor: float = 3.0
     doppler_hz: float = 100.0
     sample_rate_hz: float = 4000.0
-    esn0_db: float = 0.0
     normalize: bool = True
 
     def __post_init__(self):
@@ -60,7 +59,6 @@ class ChannelRealization:
     """Per-sample tap trajectories, shape (n_taps, n_samples)."""
 
     tap_trajectories: np.ndarray
-    noise_variance: float
 
 
 def add_awgn(signal, esn0_db, signal_power, rng):
@@ -109,18 +107,16 @@ def rician_taps(cfg, n_samples, rng):
         raise ConfigurationError(
             f"doppler {cfg.doppler_hz} Hz >= Nyquist of {cfg.sample_rate_hz} Hz"
         )
-    noise_variance = 10.0 ** (-cfg.esn0_db / 10.0)
     taps = cfg.taps0
     if cfg.kind != "rician":
         traj = np.repeat(taps[:, None], n_samples, axis=1)
-        return ChannelRealization(traj, noise_variance)
+        return ChannelRealization(traj)
     k = cfg.k_factor
     los = np.sqrt(k / (k + 1.0))
     diffuse = np.sqrt(1.0 / (k + 1.0))
     doppler_norm = cfg.doppler_hz / cfg.sample_rate_hz
     g = np.array([_jakes_process(n_samples, doppler_norm, rng) for _ in taps])
-    return ChannelRealization(np.abs(taps)[:, None] * (los + diffuse * g),
-                              noise_variance)
+    return ChannelRealization(np.abs(taps)[:, None] * (los + diffuse * g))
 
 
 def apply_fading(signal, realization):

@@ -13,13 +13,12 @@ instantaneous covariance estimates R(n) = x x^H and r(n) = d* x
 Two wrappers are built on the engine:
 
 * ``equalize_pre_fft`` -- a time-domain transversal equalizer running ahead
-  of the receiver FFT, trained on known transmitted samples, then either
-  frozen or switched to decision-directed updates.
+  of the receiver FFT, trained on known transmitted samples, then frozen.
 * ``PilotLmsEstimator`` -- a bank of one-tap LMS trackers on the comb-pilot
   bins, linearly interpolated across the data bins.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,16 +87,14 @@ def instantaneous_covariance(x, d):
     return np.outer(x, np.conj(x)), np.conj(d) * x
 
 
-def equalize_pre_fft(rx, training, n_taps, step_size,
-                     mode="train_then_freeze", decision_fn=None):
+def equalize_pre_fft(rx, training, n_taps, step_size):
     """Adaptive transversal equalizer ahead of the FFT.
 
     The regressor at step n is [rx[n], rx[n-1], ..., rx[n-n_taps+1]] and the
     desired sample is training[n - delay] with delay = n_taps // 2.  After
-    the training span the weights are frozen, or (decision-directed mode)
-    updates continue with d = decision_fn(y).
+    the training span the weights are frozen.
 
-    Past the adaptive span, y = w^H x is an FIR filter with the frozen taps
+    Past the training span, y = w^H x is an FIR filter with the frozen taps
     conj(w): out[m] = convolve(rx, conj(w))[m + delay], in one call.
 
     Returns (equalized, trace); equalized[m] estimates the transmitted
@@ -109,25 +106,16 @@ def equalize_pre_fft(rx, training, n_taps, step_size,
         raise ConfigurationError(f"n_taps must be >= 1, got {n_taps}")
     if len(training) < n_taps:
         raise ConfigurationError("training shorter than the filter")
-    if mode not in ("train_then_freeze", "train_then_decision_directed"):
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    if mode == "train_then_decision_directed" and decision_fn is None:
-        raise ConfigurationError("decision-directed mode needs a decision_fn")
 
     delay = n_taps // 2
     state = LmsState.zeros(n_taps, step_size)
     padded = np.pad(rx, (n_taps - 1, delay))
-    n_adapt = (min(len(rx), len(training)) if mode == "train_then_freeze"
-               else len(rx))
+    n_adapt = min(len(rx), len(training))
     out = np.empty(len(rx), dtype=np.complex128)
     sq_errors = np.empty(n_adapt)
     for m in range(n_adapt):
         x = padded[m + delay : m + delay + n_taps][::-1]
-        if m < len(training):
-            d = training[m]
-        else:
-            d = decision_fn(np.vdot(state.weights, x))
-        out[m], e = lms_step(state, x, d)
+        out[m], e = lms_step(state, x, training[m])
         sq_errors[m] = abs(e) ** 2
     out[n_adapt:] = np.convolve(rx, np.conj(state.weights))[
         n_adapt + delay : len(rx) + delay]

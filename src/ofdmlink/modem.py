@@ -25,15 +25,6 @@ def _gray(k):
     return k ^ (k >> 1)
 
 
-def _inverse_gray(g):
-    k = g
-    shift = 1
-    while (g >> shift) > 0:
-        k ^= g >> shift
-        shift += 1
-    return k
-
-
 @dataclass(frozen=True)
 class ConstellationSpec:
     """Immutable constellation table.

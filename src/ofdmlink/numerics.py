@@ -68,13 +68,6 @@ class RngStream:
         """n equiprobable 0/1 bits."""
         return self._gen.integers(0, 2, size=n, dtype=np.uint8)
 
-    def gaussian_pair(self):
-        """Two independent standard normals (Box-Muller)."""
-        u1, u2 = self._gen.random(2)
-        r = math.sqrt(-2.0 * math.log(1.0 - u1))
-        theta = 2.0 * math.pi * u2
-        return r * math.cos(theta), r * math.sin(theta)
-
     def normal(self, n):
         """n independent standard normals (vectorized Box-Muller)."""
         half = (n + 1) // 2

@@ -29,7 +29,6 @@ class OfdmGrid:
     active_bins: np.ndarray = field(repr=False, default=None)
     # positions of data bins within the sorted active-bin list, for interpolation
     data_positions: np.ndarray = field(repr=False, default=None)
-    pilot_positions: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         if set(self.data_bins) & set(self.pilot_bins):
@@ -41,9 +40,6 @@ class OfdmGrid:
         object.__setattr__(self, "active_bins", active)
         object.__setattr__(
             self, "data_positions", np.array([pos[b] for b in self.data_bins])
-        )
-        object.__setattr__(
-            self, "pilot_positions", np.array([pos[b] for b in self.pilot_bins])
         )
 
     @property

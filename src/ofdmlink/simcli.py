@@ -21,9 +21,9 @@ import numpy as np
 
 from .channel import (DEFAULT_TAPS, ChannelConfig, add_awgn, apply_fading,
                       rician_taps, static_multipath)
-from .equalizer import (PilotLmsEstimator, equalize_pre_fft, sweep_step_size)
+from .equalizer import PilotLmsEstimator, equalize_pre_fft, sweep_step_size
 from .errors import ConfigurationError
-from .fec import DEFAULT_CODE, conv_encode, viterbi_decode
+from .fec import conv_encode, viterbi_decode
 from .modem import constellation, demap_hard, map_bits
 from .numerics import RngStream, fft
 from .ofdm import assemble, default_grid, disassemble, equalize_one_tap
@@ -82,6 +82,10 @@ class SimConfig:
                                       "known_channel_zf"):
             raise ConfigurationError(
                 f"unknown receiver_mode {self.receiver_mode!r}")
+        if not self.modulations:
+            raise ConfigurationError("no modulation given")
+        for name in self.modulations:
+            constellation(name)
         if self.n_bits < 1:
             raise ConfigurationError("n_bits must be >= 1")
         if self.lms_taps < 1:
@@ -97,7 +101,7 @@ class SimConfig:
         return 0.5 if self.coding == "cc_k7" else 1.0
 
     def step_size_for(self, mode):
-        return self.lms_mu if self.lms_mu > 0 else _DEFAULT_MU.get(mode, 1e-2)
+        return self.lms_mu if self.lms_mu > 0 else _DEFAULT_MU[mode]
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,9 @@ def parse_config(text):
     while snr <= stop + 1e-9:
         grid.append(round(snr, 9))
         snr += step
+    if not grid:
+        raise ConfigurationError(
+            f"empty SNR grid: snr_start_db {start:g} > snr_stop_db {stop:g}")
     kwargs["snr_grid_db"] = tuple(grid)
     return SimConfig(**kwargs)
 
@@ -228,10 +235,27 @@ def _channel_response(taps, grid):
     return fft(padded)
 
 
-def _safe_divide(values, response, floor=1e-6):
-    mags = np.abs(response)
-    safe = np.where(mags < floor, floor, response)
-    return values / safe
+def _through_channel(cfg, flat, snr_db, grid, rng):
+    """Pass the transmitted samples through cfg.channel, then add AWGN.
+
+    snr_db is realized as Es/N0 per active subcarrier: the time-domain noise
+    is scaled by the FFT-size/active duty factor.  Returns ``(rx, taps)``:
+    the static taps (n_taps,), the single unit tap on AWGN, or the per-sample
+    Rician trajectories (n_taps, n_samples).
+    """
+    chan = ChannelConfig(kind=cfg.channel, taps0=DEFAULT_TAPS,
+                         k_factor=cfg.k_factor, doppler_hz=cfg.doppler_hz,
+                         normalize=cfg.normalize_taps)
+    if cfg.channel == "awgn":
+        rx, taps = flat, np.ones(1, dtype=np.complex128)
+    elif cfg.channel == "static":
+        rx, taps = static_multipath(flat, chan.taps0), chan.taps0
+    else:
+        realization = rician_taps(chan, flat.size, rng)
+        rx, taps = apply_fading(flat, realization), realization.tap_trajectories
+    signal_power = float(np.mean(np.abs(flat) ** 2))
+    duty = grid.fft_size / grid.n_active
+    return add_awgn(rx, snr_db, signal_power * duty, rng), taps
 
 
 def run_point(cfg, snr_db, modulation=None, stream_id=0):
@@ -271,60 +295,27 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
         pilots = pilots.reshape(n_frames, n_pilot)
     else:
         pilots = np.ones((n_frames, n_pilot), dtype=np.complex128)
-    tx = assemble(frames, pilots, grid)
-    flat = tx.ravel()
+    flat = assemble(frames, pilots, grid).ravel()
 
-    chan = ChannelConfig(
-        kind=cfg.channel, taps0=DEFAULT_TAPS, k_factor=cfg.k_factor,
-        doppler_hz=cfg.doppler_hz, esn0_db=snr_db, normalize=cfg.normalize_taps,
-    )
-    realization = None
-    if cfg.channel == "awgn":
-        rx = flat
-    elif cfg.channel == "static":
-        rx = static_multipath(flat, chan.taps0)
-    else:
-        realization = rician_taps(chan, flat.size, rng)
-        rx = apply_fading(flat, realization)
-
-    signal_power = float(np.mean(np.abs(flat) ** 2))
-    # calibrate the requested snr_db as Es/N0 per active subcarrier
-    duty = grid.fft_size / grid.n_active
-    rx = add_awgn(rx, snr_db, signal_power * duty, rng)
-
-    rx_frames = rx.reshape(n_frames, grid.symbol_len)
+    rx, taps = _through_channel(cfg, flat, snr_db, grid, rng)
     if cfg.receiver_mode == "pre_fft_lms":
         training_time = flat[: n_train * grid.symbol_len]
         mu = cfg.step_size_for("pre_fft_lms")
-        equalized, _ = equalize_pre_fft(rx, training_time, cfg.lms_taps, mu)
-        data_vals, _ = disassemble(
-            equalized.reshape(n_frames, grid.symbol_len), grid
-        )
-        data_vals = data_vals[n_train:]
-    elif cfg.receiver_mode == "pilot_fd_lms":
-        data_rx, pilot_rx = disassemble(rx_frames, grid)
+        rx, _ = equalize_pre_fft(rx, training_time, cfg.lms_taps, mu)
+    data_rx, pilot_rx = disassemble(rx.reshape(n_frames, grid.symbol_len), grid)
+    data_vals = data_rx[n_train:]
+    if cfg.receiver_mode == "pilot_fd_lms":
         est = PilotLmsEstimator(grid, cfg.step_size_for("pilot_fd_lms"))
-        pilot_tx = np.ones(len(grid.pilot_bins), dtype=np.complex128)
-        data_vals = np.empty_like(data_rx[n_train:])
-        for i in range(n_frames):
-            h_active = est.update(pilot_rx[i], pilot_tx)
-            if i >= n_train:
-                h_data = h_active[grid.data_positions]
-                data_vals[i - n_train] = _safe_divide(data_rx[i], h_data)
-    else:  # known_channel_zf
-        data_rx, _ = disassemble(rx_frames, grid)
-        if cfg.channel == "awgn":
-            data_vals = data_rx
-        elif cfg.channel == "static":
-            h_data = _channel_response(chan.taps0, grid)[grid.data_bins]
-            data_vals = equalize_one_tap(data_rx, h_data)
-        else:
-            traj = realization.tap_trajectories.reshape(
-                len(chan.taps0), n_frames, grid.symbol_len
-            )
-            frame_taps = traj.mean(axis=2).T  # (n_frames, n_taps)
-            h_data = _channel_response(frame_taps, grid)[:, grid.data_bins]
-            data_vals = _safe_divide(data_rx, h_data)
+        h_active = np.array([est.update(p_rx, p_tx)
+                             for p_rx, p_tx in zip(pilot_rx, pilots)])
+        data_vals = equalize_one_tap(
+            data_vals, h_active[n_train:, grid.data_positions])
+    elif cfg.receiver_mode == "known_channel_zf":
+        if taps.ndim == 2:  # per-frame mean of the Rician trajectories
+            taps = taps.reshape(len(taps), n_frames, grid.symbol_len)
+            taps = taps.mean(axis=2).T
+        data_vals = equalize_one_tap(
+            data_vals, _channel_response(taps, grid)[..., grid.data_bins])
 
     rx_symbols = data_vals.ravel()
     if pad_syms:
@@ -379,21 +370,7 @@ def run_lms_trace(cfg):
     n_pilot = len(grid.pilot_bins)
     pilots = map_bits(rng.bits(n_train * n_pilot * k), spec).reshape(n_train, n_pilot)
     flat = assemble(frames, pilots, grid).ravel()
-
-    chan = ChannelConfig(kind=cfg.channel, taps0=DEFAULT_TAPS,
-                         k_factor=cfg.k_factor, doppler_hz=cfg.doppler_hz,
-                         esn0_db=cfg.snr_grid_db[0],
-                         normalize=cfg.normalize_taps)
-    if cfg.channel == "static":
-        rx = static_multipath(flat, chan.taps0)
-    elif cfg.channel == "rician":
-        rx = apply_fading(flat, rician_taps(chan, flat.size, rng))
-    else:
-        rx = flat
-    snr_db = cfg.snr_grid_db[0]
-    if snr_db < 300:
-        power = float(np.mean(np.abs(flat) ** 2))
-        rx = add_awgn(rx, snr_db, power * grid.fft_size / grid.n_active, rng)
+    rx, _ = _through_channel(cfg, flat, cfg.snr_grid_db[0], grid, rng)
 
     def final_mse(mu):
         _, trace = equalize_pre_fft(rx, flat, cfg.lms_taps, mu)

@@ -133,7 +133,7 @@ def test_apply_fading_constant_reduces_to_static():
     sig = rng.normal(size=100) + 1j * rng.normal(size=100)
     taps = np.array([0.8, 0.5 + 0.1j])
     traj = np.repeat(taps[:, None], 100, axis=1)
-    real = ChannelRealization(traj, 0.0)
+    real = ChannelRealization(traj)
     assert np.allclose(apply_fading(sig, real), static_multipath(sig, taps))
 
 
@@ -141,7 +141,7 @@ def test_apply_fading_single_tap_samplewise():
     rng = np.random.default_rng(2)
     sig = rng.normal(size=50) + 1j * rng.normal(size=50)
     traj = (rng.normal(size=(1, 50)) + 1j * rng.normal(size=(1, 50)))
-    real = ChannelRealization(traj, 0.0)
+    real = ChannelRealization(traj)
     assert np.allclose(apply_fading(sig, real), traj[0] * sig)
 
 
@@ -149,7 +149,7 @@ def test_apply_fading_matches_double_sum_oracle():
     rng = np.random.default_rng(3)
     sig = rng.normal(size=80) + 1j * rng.normal(size=80)
     traj = rng.normal(size=(2, 80)) + 1j * rng.normal(size=(2, 80))
-    real = ChannelRealization(traj, 0.0)
+    real = ChannelRealization(traj)
     expected = np.zeros(80, dtype=complex)
     for n in range(80):
         for l in range(2):
@@ -159,7 +159,7 @@ def test_apply_fading_matches_double_sum_oracle():
 
 
 def test_fading_trajectory_too_short():
-    real = ChannelRealization(np.ones((1, 5), complex), 0.0)
+    real = ChannelRealization(np.ones((1, 5), complex))
     with pytest.raises(FramingError):
         apply_fading(np.ones(10, complex), real)
 

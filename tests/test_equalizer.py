@@ -220,9 +220,9 @@ def test_divergence_reports_step_index():
     assert exc.value.step > 0
 
 
-def _reference_pre_fft(rx, training, n_taps, step_size, decision_fn=None):
+def _reference_pre_fft(rx, training, n_taps, step_size):
     """Per-sample loop over the whole of rx: LMS updates over the training
-    span (and beyond it with decision_fn), frozen weights after."""
+    span, frozen weights after."""
     delay = n_taps // 2
     state = LmsState.zeros(n_taps, step_size)
     padded = np.concatenate([np.zeros(n_taps - 1, complex), rx,
@@ -233,9 +233,6 @@ def _reference_pre_fft(rx, training, n_taps, step_size, decision_fn=None):
         x = padded[m + delay : m + delay + n_taps][::-1]
         if m < len(training):
             y, e = lms_step(state, x, training[m])
-            sq_errors.append(abs(e) ** 2)
-        elif decision_fn is not None:
-            y, e = lms_step(state, x, decision_fn(np.vdot(state.weights, x)))
             sq_errors.append(abs(e) ** 2)
         else:
             y = np.vdot(state.weights, x)
@@ -265,26 +262,6 @@ def test_pre_fft_frozen_span_matches_per_sample_loop(n_rx, n_train, n_taps):
     assert np.array_equal(trace.squared_errors, ref_sq)
     assert np.array_equal(trace.final_weights, ref_w)
     assert np.max(np.abs(out - ref_out)) < 1e-12
-
-
-def test_pre_fft_decision_directed_matches_per_sample_loop():
-    spec = constellation("qpsk")
-
-    def decide(y):
-        return spec.points[np.argmin(np.abs(spec.points - y))]
-
-    tx = _training_signal(3, seed=5)
-    rx = static_multipath(tx, DEFAULT_TAPS / np.linalg.norm(DEFAULT_TAPS))
-    n_train = GRID.symbol_len
-    out, trace = equalize_pre_fft(rx, tx[:n_train], 11, 3e-3,
-                                  mode="train_then_decision_directed",
-                                  decision_fn=decide)
-    ref_out, ref_sq, ref_w = _reference_pre_fft(rx, tx[:n_train], 11, 3e-3,
-                                                decision_fn=decide)
-    assert len(trace.squared_errors) == len(rx)
-    assert np.array_equal(out, ref_out)
-    assert np.array_equal(trace.squared_errors, ref_sq)
-    assert np.array_equal(trace.final_weights, ref_w)
 
 
 @pytest.mark.parametrize("n_taps", [0, -1])

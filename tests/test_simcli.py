@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from ofdmlink import cli
+from ofdmlink import cli, simcli
 from ofdmlink.channel import ChannelConfig, rician_taps
+from ofdmlink.equalizer import PilotLmsEstimator
 from ofdmlink.errors import ConfigurationError
 from ofdmlink.numerics import RngStream, binomial_ci, q_function
-from ofdmlink.ofdm import default_grid
+from ofdmlink.ofdm import default_grid, equalize_one_tap
 from ofdmlink.simcli import (BerPoint, SimConfig, ebn0_from_esn0, emit_plot,
                              generate_source, parse_config, read_csv,
                              reconstruct_sine, run_point, run_sweep,
-                             write_csv, CSV_HEADER, _channel_response,
-                             _safe_divide)
+                             CSV_HEADER, _channel_response)
 
 
 def test_source_quarter_period_samples():
@@ -84,6 +84,33 @@ def test_config_rejects_bad_lms_settings(field, value):
         parse_config(f"{field} = {value}")
 
 
+@pytest.mark.parametrize("modulations", [(), ("qpsk", "bogus")])
+def test_config_rejects_bad_modulations(modulations):
+    with pytest.raises(ConfigurationError):
+        SimConfig(modulations=modulations)
+
+
+@pytest.mark.parametrize("command", ["ber-sweep", "lms-trace", "demo-audio"])
+@pytest.mark.parametrize("line, message", [
+    ("modulation = ,", "no modulation"),
+    ("modulation = qpsk, bogus", "unknown modulation 'bogus'"),
+    ("snr_start_db = 10\nsnr_stop_db = 2", "empty SNR grid"),
+])
+def test_bad_config_fails_before_any_point(tmp_path, capsys, command, line,
+                                           message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    args = [command, "--config", str(cfg)]
+    if command != "demo-audio":
+        args += ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_batched_rician_zf_matches_per_frame_loop():
     grid = default_grid()
     n_frames = 9
@@ -96,9 +123,53 @@ def test_batched_rician_zf_matches_per_frame_loop():
     expected = np.empty_like(data_rx)
     for i in range(n_frames):
         h_data = _channel_response(frame_taps[i], grid)[grid.data_bins]
-        expected[i] = _safe_divide(data_rx[i], h_data)
-    h_data = _channel_response(frame_taps, grid)[:, grid.data_bins]
-    assert np.array_equal(_safe_divide(data_rx, h_data), expected)
+        expected[i] = equalize_one_tap(data_rx[i], h_data)
+    h_data = _channel_response(frame_taps, grid)[..., grid.data_bins]
+    assert np.array_equal(equalize_one_tap(data_rx, h_data), expected)
+
+
+def _pilot_receiver_loop(data_rx, pilot_rx, grid, mu, n_train):
+    """Per-frame pilot receiver: update the estimator on every frame,
+    divide each payload frame by its own estimate."""
+    est = PilotLmsEstimator(grid, mu)
+    pilot_tx = np.ones(len(grid.pilot_bins), dtype=np.complex128)
+    out = np.empty_like(data_rx[n_train:])
+    for i in range(len(data_rx)):
+        h_active = est.update(pilot_rx[i], pilot_tx)
+        if i >= n_train:
+            out[i - n_train] = data_rx[i] / h_active[grid.data_positions]
+    return out
+
+
+def test_batched_pilot_division_matches_per_frame_loop(monkeypatch):
+    captured = {}
+    real_disassemble, real_demap = simcli.disassemble, simcli.demap_hard
+
+    def disassemble(frames, grid):
+        captured["bins"] = real_disassemble(frames, grid)
+        return captured["bins"]
+
+    def demap_hard(symbols, spec):
+        captured["symbols"] = symbols
+        return real_demap(symbols, spec)
+
+    monkeypatch.setattr(simcli, "disassemble", disassemble)
+    monkeypatch.setattr(simcli, "demap_hard", demap_hard)
+    cfg = SimConfig(channel="rician", receiver_mode="pilot_fd_lms",
+                    n_bits=4000, seed=7)
+    run_point(cfg, 20.0)
+    data_rx, pilot_rx = captured["bins"]
+    expected = _pilot_receiver_loop(data_rx, pilot_rx, default_grid(),
+                                    cfg.step_size_for("pilot_fd_lms"),
+                                    cfg.training_symbols).ravel()
+    symbols = captured["symbols"]
+    assert np.array_equal(symbols, expected[: len(symbols)])
+
+
+def test_awgn_zero_forcing_divides_by_exactly_one():
+    grid = default_grid()
+    h = _channel_response(np.ones(1, dtype=np.complex128), grid)
+    assert np.array_equal(h, np.ones(grid.fft_size, dtype=np.complex128))
 
 
 # error counts at n_bits = 4000, seed 7, SNR 10 and 30 dB on streams 0 and 1,
