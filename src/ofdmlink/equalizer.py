@@ -7,8 +7,7 @@ The engine uses the standard complex LMS convention
     w(n+1) = w(n) + mu x(n) e*(n)
 
 which is equivalent to a steepest-descent step with the rank-one
-instantaneous covariance estimates R(n) = x x^H and r(n) = d* x
-(``instantaneous_covariance`` exposes those for direct verification).
+instantaneous covariance estimates R(n) = x x^H and r(n) = d* x.
 
 Two wrappers are built on the engine:
 
@@ -28,7 +27,6 @@ __all__ = [
     "LmsState",
     "LmsTrace",
     "lms_step",
-    "instantaneous_covariance",
     "equalize_pre_fft",
     "PilotLmsEstimator",
     "sweep_step_size",
@@ -60,10 +58,6 @@ class LmsTrace:
     squared_errors: np.ndarray
     final_weights: np.ndarray
 
-    def windowed_mse(self, window=100):
-        n = len(self.squared_errors) // window
-        return self.squared_errors[: n * window].reshape(n, window).mean(axis=1)
-
 
 def lms_step(state, x, d):
     """One LMS update.  Returns (y, e); the state is advanced in place."""
@@ -79,12 +73,6 @@ def lms_step(state, x, d):
     if not np.all(np.abs(state.weights) <= _DIVERGENCE_LIMIT):
         raise DivergenceError(state.update_count, state.step_size)
     return y, e
-
-
-def instantaneous_covariance(x, d):
-    """Rank-one estimates R = x x^H and r = d* x used by the LMS gradient."""
-    x = np.asarray(x, dtype=np.complex128)
-    return np.outer(x, np.conj(x)), np.conj(d) * x
 
 
 def equalize_pre_fft(rx, training, n_taps, step_size):
@@ -190,14 +178,14 @@ class PilotLmsEstimator:
         return result
 
 
-def sweep_step_size(run_fn, candidates=DEFAULT_STEP_SWEEP):
-    """Pick the step size with the lowest final training MSE.
+def sweep_step_size(run_fn):
+    """Pick the DEFAULT_STEP_SWEEP step size with the lowest final MSE.
 
     run_fn(mu) must return a final-MSE figure; divergent candidates may
     raise DivergenceError and are skipped.
     """
     best_mu, best_mse = None, np.inf
-    for mu in candidates:
+    for mu in DEFAULT_STEP_SWEEP:
         try:
             mse = run_fn(mu)
         except DivergenceError:

@@ -1,4 +1,4 @@
-"""Core numerics: FFT, seeded random streams and statistical helpers.
+"""Core numerics: the FFT and seeded random streams.
 
 The FFT is numpy's, restricted to the power-of-two lengths the OFDM grid
 uses.  Forward transform is unnormalized, the inverse carries the 1/N
@@ -13,7 +13,6 @@ stream, which keeps the uniform consumption rate fixed.
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ConfigurationError
 
@@ -21,8 +20,6 @@ __all__ = [
     "fft",
     "ifft",
     "RngStream",
-    "q_function",
-    "binomial_ci",
 ]
 
 
@@ -81,23 +78,3 @@ class RngStream:
         """n circular complex Gaussians with unit total variance."""
         z = self.normal(2 * n)
         return (z[:n] + 1j * z[n:]) / math.sqrt(2.0)
-
-
-def q_function(x):
-    """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
-
-
-def binomial_ci(errors, trials, sigmas):
-    """Normal-approximation confidence interval for an error-rate estimate.
-
-    Returns (low, high) = p +- sigmas * sqrt(p (1 - p) / trials), clamped
-    to [0, 1].
-    """
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
-    if not 0 <= errors <= trials:
-        raise ConfigurationError(f"errors must be in [0, {trials}], got {errors}")
-    p = errors / trials
-    half = sigmas * math.sqrt(p * (1.0 - p) / trials)
-    return max(0.0, p - half), min(1.0, p + half)

@@ -55,6 +55,9 @@ _SAMPLE_HZ = 4000.0
 # config leaves lms_mu unset
 _DEFAULT_MU = {"pilot_fd_lms": 0.5, "pre_fft_lms": 3e-3}
 
+# the longest SNR grid a config file may ask for
+_MAX_SNR_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -92,6 +95,13 @@ class SimConfig:
             raise ConfigurationError("lms_taps must be >= 1")
         if self.training_symbols < 0:
             raise ConfigurationError("training_symbols must be >= 0")
+        for name in ("k_factor", "doppler_hz", "lms_mu"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {value}")
+        if not self.snr_grid_db:
+            raise ConfigurationError("empty SNR grid")
         for s in self.snr_grid_db:
             if not math.isfinite(s):
                 raise ConfigurationError("SNR grid values must be finite")
@@ -170,11 +180,23 @@ def parse_config(text):
     start = number("snr_start_db", float, 0.0)
     stop = number("snr_stop_db", float, 50.0)
     step = number("snr_step_db", float, 2.0)
+    for key, value in (("snr_start_db", start), ("snr_stop_db", stop),
+                       ("snr_step_db", step)):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{key} must be finite, got {value}")
     if step <= 0:
         raise ConfigurationError("snr_step_db must be > 0")
     grid = []
     snr = start
     while snr <= stop + 1e-9:
+        # counted here, not from (stop - start) / step: the 1e-9 tolerance
+        # and a step below the spacing of doubles near snr would let the
+        # loop run far past that ratio, or forever
+        if len(grid) == _MAX_SNR_POINTS:
+            raise ConfigurationError(
+                f"SNR grid longer than {_MAX_SNR_POINTS} points: "
+                f"snr_start_db {start:g}, snr_stop_db {stop:g}, "
+                f"snr_step_db {step:g}")
         grid.append(round(snr, 9))
         snr += step
     if not grid:

@@ -14,9 +14,10 @@ from ofdmlink.equalizer import LmsState, lms_step
 from ofdmlink.errors import DivergenceError
 from ofdmlink.fec import conv_encode, viterbi_decode
 from ofdmlink.modem import constellation, map_bits
-from ofdmlink.numerics import RngStream, binomial_ci, fft, q_function
+from ofdmlink.numerics import RngStream, fft
 from ofdmlink.ofdm import assemble, default_grid, disassemble, equalize_one_tap
 from ofdmlink.simcli import SimConfig, run_lms_trace, run_point, run_sweep
+from theory import binomial_ci, q_function, windowed_mse
 
 GRID = default_grid()
 NORM_TAPS = DEFAULT_TAPS / np.linalg.norm(DEFAULT_TAPS)
@@ -111,7 +112,7 @@ def test_criterion_5_lms_convergence(tmp_path, capsys):
     final = float(trace.squared_errors[-100:].mean())
     # OFDM-symbol-aligned windows; the learning curve must only rise again
     # once it is down at the converged noise floor
-    windows = trace.windowed_mse(window=GRID.symbol_len)
+    windows = windowed_mse(trace.squared_errors, GRID.symbol_len)
     floor = 2 * final
     decreasing = all(
         windows[i + 1] <= windows[i] + 1e-12 or windows[i + 1] <= floor

@@ -3,12 +3,12 @@ import pytest
 
 from ofdmlink.channel import DEFAULT_TAPS, static_multipath
 from ofdmlink.equalizer import (LmsState, PilotLmsEstimator, equalize_pre_fft,
-                                instantaneous_covariance, lms_step,
-                                sweep_step_size)
+                                lms_step, sweep_step_size)
 from ofdmlink.errors import ConfigurationError, DivergenceError
 from ofdmlink.modem import constellation, map_bits
 from ofdmlink.numerics import fft
 from ofdmlink.ofdm import assemble, default_grid
+from theory import instantaneous_covariance, windowed_mse
 
 GRID = default_grid()
 
@@ -128,7 +128,7 @@ def test_windowed_mse_non_increasing_on_identification():
         d = np.sum(np.conj(plant) * x)
         _, e = lms_step(state, x, d)
         sq.append(abs(e) ** 2)
-    win = np.array(sq).reshape(-1, 100).mean(axis=1)
+    win = windowed_mse(np.array(sq), 100)
     assert np.all(np.diff(win[1:]) <= 1e-12)
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ofdmlink.errors import ConfigurationError
-from ofdmlink.numerics import (RngStream, binomial_ci, fft, ifft, q_function)
+from ofdmlink.numerics import RngStream, fft, ifft
+from theory import binomial_ci, q_function
 
 
 def dft_oracle(x):

@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofdmlink import cli, simcli
 from ofdmlink.channel import ChannelConfig, rician_taps
 from ofdmlink.equalizer import PilotLmsEstimator
-from ofdmlink.errors import ConfigurationError
-from ofdmlink.numerics import RngStream, binomial_ci, q_function
+from ofdmlink.errors import ConfigurationError, SimError
+from ofdmlink.numerics import RngStream
 from ofdmlink.ofdm import default_grid, equalize_one_tap
 from ofdmlink.simcli import (BerPoint, SimConfig, ebn0_from_esn0, emit_plot,
                              generate_source, parse_config, read_csv,
                              reconstruct_sine, run_point, run_sweep,
-                             CSV_HEADER, _channel_response)
+                             _channel_response)
+from theory import binomial_ci, q_function
 
 
 def test_source_quarter_period_samples():
@@ -74,8 +78,29 @@ def test_parse_config_names_the_key_of_a_bad_number(line):
         parse_config(line)
 
 
+_CONFIG_LINES = st.lists(st.tuples(
+    st.sampled_from(sorted(simcli._CONFIG_KEYS)),
+    st.one_of(st.integers().map(str), st.floats().map(repr), st.text()),
+), max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_CONFIG_LINES)
+def test_parse_config_accepts_bounded_grids_or_fails_in_one_line(lines):
+    text = "\n".join(f"{key} = {value}" for key, value in lines)
+    try:
+        cfg = parse_config(text)
+    except SimError as exc:
+        assert len(str(exc).splitlines()) == 1
+        return
+    grid = cfg.snr_grid_db
+    assert 0 < len(grid) <= simcli._MAX_SNR_POINTS
+    assert all(math.isfinite(s) for s in grid)
+
+
 @pytest.mark.parametrize("field, value", [
     ("lms_taps", 0), ("lms_taps", -3), ("training_symbols", -1),
+    ("lms_mu", float("nan")), ("lms_mu", float("inf")), ("lms_mu", -0.1),
 ])
 def test_config_rejects_bad_lms_settings(field, value):
     with pytest.raises(ConfigurationError, match=field):
@@ -90,11 +115,30 @@ def test_config_rejects_bad_modulations(modulations):
         SimConfig(modulations=modulations)
 
 
+def test_config_rejects_empty_snr_grid():
+    with pytest.raises(ConfigurationError, match="empty SNR grid"):
+        SimConfig(snr_grid_db=())
+
+
 @pytest.mark.parametrize("command", ["ber-sweep", "lms-trace", "demo-audio"])
 @pytest.mark.parametrize("line, message", [
     ("modulation = ,", "no modulation"),
     ("modulation = qpsk, bogus", "unknown modulation 'bogus'"),
     ("snr_start_db = 10\nsnr_stop_db = 2", "empty SNR grid"),
+    ("snr_start_db = nan", "snr_start_db must be finite"),
+    ("snr_stop_db = inf", "snr_stop_db must be finite"),
+    ("snr_step_db = nan", "snr_step_db must be finite"),
+    ("snr_step_db = inf", "snr_step_db must be finite"),
+    ("snr_step_db = 1e-7", "longer than 10000 points"),
+    # within the loop's 1e-9 tolerance, and a step the doubles near 1e10
+    # cannot resolve: (stop - start) / step is 0 for both
+    ("snr_stop_db = 0\nsnr_step_db = 1e-18", "longer than 10000 points"),
+    ("snr_start_db = 1e10\nsnr_stop_db = 1e10\nsnr_step_db = 1e-7",
+     "longer than 10000 points"),
+    ("k_factor = nan", "k_factor must be finite"),
+    ("k_factor = -1", "k_factor must be finite and >= 0"),
+    ("doppler_hz = nan", "doppler_hz must be finite"),
+    ("doppler_hz = -5", "doppler_hz must be finite and >= 0"),
 ])
 def test_bad_config_fails_before_any_point(tmp_path, capsys, command, line,
                                            message):
@@ -220,14 +264,6 @@ def test_sweep_csv_determinism(tmp_path):
     run_sweep(cfg, csv_path=a)
     run_sweep(cfg, csv_path=b)
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_sweep_empty_grid_header_only(tmp_path):
-    cfg = SimConfig(n_bits=4000, snr_grid_db=())
-    path = tmp_path / "empty.csv"
-    points = run_sweep(cfg, csv_path=path)
-    assert points == []
-    assert path.read_text() == CSV_HEADER + "\n"
 
 
 def test_sweep_streams_stable_under_extension():
