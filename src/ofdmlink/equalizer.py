@@ -117,7 +117,9 @@ class PilotLmsEstimator:
     One one-tap LMS per pilot bin with regressor x = transmitted pilot and
     desired d = received pilot value, so the fixed point of each tracker is
     the true bin response.  Data-bin estimates are linear interpolation
-    between neighboring pilot estimates; edge bins copy the nearest pilot.
+    between neighboring pilot estimates on the signed-frequency axis (bins
+    above fft_size/2 are negative frequencies, so the active band is
+    contiguous around DC); edge bins copy the nearest pilot.
     """
 
     def __init__(self, grid, step_size):
@@ -128,54 +130,75 @@ class PilotLmsEstimator:
         self.weights = np.zeros(len(grid.pilot_bins), dtype=np.complex128)
         self.update_count = 0
 
+        half = grid.fft_size // 2
+
+        def signed(bins):
+            return np.where(bins > half, bins - grid.fft_size, bins).astype(float)
+
+        freq_pilot = signed(grid.pilot_bins)
+        self._pilot_order = np.argsort(freq_pilot)
+        self._freq_pilot = freq_pilot[self._pilot_order]
+        freq_active = signed(grid.active_bins)
+        # the pilot interval of each active bin, as np.interp finds it; the
+        # last pilot's interval has slope 0, and bins left of the first pilot
+        # sit at offset 0, so both edges copy the nearest pilot
+        self._interval = np.clip(
+            np.searchsorted(self._freq_pilot, freq_active, side="right") - 1,
+            0, len(freq_pilot) - 1)
+        self._offset = np.maximum(
+            freq_active - self._freq_pilot[self._interval], 0.0)
+
     @property
     def pilot_estimates(self):
         return np.conj(self.weights)
 
     def update(self, pilot_rx, pilot_tx):
-        """One OFDM symbol's worth of updates; returns the active-bin estimate."""
-        pilot_rx = np.asarray(pilot_rx, dtype=np.complex128)
-        pilot_tx = np.asarray(pilot_tx, dtype=np.complex128)
-        if pilot_rx.shape != self.weights.shape:
-            raise ConfigurationError(
-                f"expected {self.weights.size} pilot values, got {pilot_rx.size}"
-            )
-        y = np.conj(self.weights) * pilot_tx
-        e = pilot_rx - y
-        self.weights = self.weights + self.step_size * pilot_tx * np.conj(e)
-        self.update_count += 1
-        bad = np.nonzero(np.abs(self.weights) > _DIVERGENCE_LIMIT)[0]
-        if len(bad):
-            raise DivergenceError(
-                self.update_count, self.step_size,
-                detail=f"pilot bin {self.grid.pilot_bins[bad[0]]}",
-            )
-        return self.interpolate()
+        """Update on one OFDM symbol's pilots, (n_pilot,), or on a batch of
+        symbols, (n_frames, n_pilot), one frame after the other.
 
-    def interpolate(self):
-        """Current channel estimate on every active bin.
-
-        Linear interpolation between neighboring pilot estimates on the
-        signed-frequency axis (bins above fft_size/2 are negative
-        frequencies, so the active band is contiguous around DC); bins
-        outside the pilot span copy the nearest pilot.
+        Returns the active-bin estimate after each frame: (n_active,) or
+        (n_frames, n_active).  A diverging tracker raises DivergenceError
+        naming its frame (``update_count``) and pilot bin.
         """
-        half = self.grid.fft_size // 2
+        pilot_rx = np.asarray(pilot_rx, dtype=np.complex128)
+        if pilot_rx.ndim not in (1, 2) or pilot_rx.shape[-1] != self.weights.size:
+            raise ConfigurationError(
+                f"expected (n_frames, {self.weights.size}) or "
+                f"({self.weights.size},) pilot values, got {pilot_rx.shape}"
+            )
+        frames_rx = np.atleast_2d(pilot_rx)
+        frames_tx = np.broadcast_to(
+            np.asarray(pilot_tx, dtype=np.complex128), frames_rx.shape)
+        step_tx = self.step_size * frames_tx
+        estimates = np.empty(frames_rx.shape, dtype=np.complex128)
+        w_conj = np.conj(self.weights)
+        for n in range(len(frames_rx)):
+            e = frames_rx[n] - w_conj * frames_tx[n]
+            self.weights = self.weights + step_tx[n] * np.conj(e)
+            self.update_count += 1
+            bad = np.abs(self.weights) > _DIVERGENCE_LIMIT
+            if bad.any():
+                raise DivergenceError(
+                    self.update_count, self.step_size,
+                    detail=f"pilot bin {self.grid.pilot_bins[np.argmax(bad)]}",
+                )
+            w_conj = estimates[n] = np.conj(self.weights)
+        active = self._interpolate(estimates)
+        return active if pilot_rx.ndim == 2 else active[0]
 
-        def signed(bins):
-            return np.where(bins > half, bins - self.grid.fft_size, bins)
-
-        freq_active = signed(self.grid.active_bins)
-        freq_pilot = signed(self.grid.pilot_bins)
-        order = np.argsort(freq_pilot)
-        est = self.pilot_estimates[order]
-        freq_pilot = freq_pilot[order]
-        out_order = np.argsort(freq_active)
-        re = np.interp(freq_active[out_order], freq_pilot, est.real)
-        im = np.interp(freq_active[out_order], freq_pilot, est.imag)
-        result = np.empty(self.grid.n_active, dtype=np.complex128)
-        result[out_order] = re + 1j * im
-        return result
+    def _interpolate(self, estimates):
+        """np.interp of each frame's pilot estimates onto the active bins,
+        real and imaginary parts apart, with np.interp's own arithmetic
+        ``slope * (x - xp[j]) + fp[j]``, so the result is the same to the bit.
+        """
+        parts = []
+        for fp in (estimates.real, estimates.imag):
+            fp = fp[:, self._pilot_order]
+            slope = np.zeros_like(fp)
+            slope[:, :-1] = np.diff(fp, axis=1) / np.diff(self._freq_pilot)
+            parts.append(slope[:, self._interval] * self._offset
+                         + fp[:, self._interval])
+        return parts[0] + 1j * parts[1]
 
 
 def sweep_step_size(run_fn):

@@ -10,6 +10,7 @@ symbol built from unit-energy inputs is 1; disassembly undoes the scaling,
 so the noiseless round trip is the identity.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,9 @@ __all__ = ["OfdmGrid", "default_grid", "assemble", "disassemble", "equalize_one_
 
 @dataclass(frozen=True)
 class OfdmGrid:
+    """Bin layout of one OFDM symbol.  Its arrays are read-only copies,
+    because ``default_grid`` hands one grid to every caller."""
+
     fft_size: int
     cp_len: int
     data_bins: np.ndarray
@@ -37,10 +41,13 @@ class OfdmGrid:
             raise FramingError("cyclic prefix must be 1/4 of the FFT size")
         active = np.sort(np.concatenate([self.data_bins, self.pilot_bins]))
         pos = {b: i for i, b in enumerate(active)}
-        object.__setattr__(self, "active_bins", active)
-        object.__setattr__(
-            self, "data_positions", np.array([pos[b] for b in self.data_bins])
-        )
+        arrays = {"data_bins": np.array(self.data_bins),
+                  "pilot_bins": np.array(self.pilot_bins),
+                  "active_bins": active,
+                  "data_positions": np.array([pos[b] for b in self.data_bins])}
+        for name, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n_active(self):
@@ -56,8 +63,12 @@ class OfdmGrid:
         return self.fft_size / np.sqrt(self.n_active)
 
 
+@functools.lru_cache(maxsize=None)
 def default_grid():
-    """The standard 256-bin grid: 200 active carriers, comb pilots every 8th."""
+    """The standard 256-bin grid: 200 active carriers, comb pilots every 8th.
+
+    Built once: every call returns the same grid.
+    """
     active = np.concatenate([np.arange(1, 101), np.arange(156, 256)])
     pilot_bins = active[::8]
     data_bins = np.array([b for b in active if b not in set(pilot_bins)])

@@ -57,6 +57,11 @@ _DEFAULT_MU = {"pilot_fd_lms": 0.5, "pre_fft_lms": 3e-3}
 
 # the longest SNR grid a config file may ask for
 _MAX_SNR_POINTS = 10_000
+# the largest point a config may ask for: a coded Rician pre-FFT LMS point,
+# the heaviest chain, peaks near 0.45 GB per 10^6 bits
+_MAX_N_BITS = 4_000_000
+# each training symbol adds 320 per-sample LMS steps to every pre-FFT point
+_MAX_TRAINING_SYMBOLS = 100
 
 
 @dataclass(frozen=True)
@@ -89,12 +94,20 @@ class SimConfig:
             raise ConfigurationError("no modulation given")
         for name in self.modulations:
             constellation(name)
-        if self.n_bits < 1:
-            raise ConfigurationError("n_bits must be >= 1")
-        if self.lms_taps < 1:
-            raise ConfigurationError("lms_taps must be >= 1")
-        if self.training_symbols < 0:
-            raise ConfigurationError("training_symbols must be >= 0")
+        # a pre-FFT equalizer longer than one OFDM symbol has no use
+        symbol_len = default_grid().symbol_len
+        for name, lo, hi in (("n_bits", 1, _MAX_N_BITS),
+                             ("lms_taps", 1, symbol_len),
+                             ("training_symbols", 0, _MAX_TRAINING_SYMBOLS)):
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise ConfigurationError(
+                    f"{name} must be in {lo}..{hi}, got {value}")
+        span = self.training_symbols * symbol_len
+        if self.receiver_mode == "pre_fft_lms" and self.lms_taps > span:
+            raise ConfigurationError(
+                f"lms_taps {self.lms_taps} exceeds the pre-FFT training span "
+                f"of {span} samples")
         for name in ("k_factor", "doppler_hz", "lms_mu"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -328,8 +341,7 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
     data_vals = data_rx[n_train:]
     if cfg.receiver_mode == "pilot_fd_lms":
         est = PilotLmsEstimator(grid, cfg.step_size_for("pilot_fd_lms"))
-        h_active = np.array([est.update(p_rx, p_tx)
-                             for p_rx, p_tx in zip(pilot_rx, pilots)])
+        h_active = est.update(pilot_rx, pilots)
         data_vals = equalize_one_tap(
             data_vals, h_active[n_train:, grid.data_positions])
     elif cfg.receiver_mode == "known_channel_zf":

@@ -212,6 +212,71 @@ def test_pilot_estimator_static_table_channel():
     assert np.max(rel) < 0.25
 
 
+def _np_interp_estimate(pilot_estimates, grid):
+    """Pilot estimates to every active bin with np.interp on the
+    signed-frequency axis, real and imaginary parts apart."""
+    def signed(bins):
+        return np.where(bins > grid.fft_size // 2, bins - grid.fft_size, bins)
+
+    order = np.argsort(signed(grid.pilot_bins))
+    xp = signed(grid.pilot_bins)[order]
+    x = signed(grid.active_bins)
+    est = pilot_estimates[order]
+    return np.interp(x, xp, est.real) + 1j * np.interp(x, xp, est.imag)
+
+
+def _tracker_pilots(n_frames, seed, unit_tx=True):
+    rng = np.random.default_rng(seed)
+    rx = rng.normal(size=(n_frames, 25)) + 1j * rng.normal(size=(n_frames, 25))
+    if unit_tx:
+        return rx, np.ones((n_frames, 25), complex)
+    return rx, np.exp(2j * np.pi * rng.random((n_frames, 25)))
+
+
+@pytest.mark.parametrize("unit_tx", [True, False])
+def test_update_interpolates_like_np_interp(unit_tx):
+    pilot_rx, pilot_tx = _tracker_pilots(30, 11, unit_tx)
+    est = PilotLmsEstimator(GRID, 0.7)
+    for rx, tx in zip(pilot_rx, pilot_tx):
+        h_active = est.update(rx, tx)
+        assert np.array_equal(h_active,
+                              _np_interp_estimate(est.pilot_estimates, GRID))
+
+
+@pytest.mark.parametrize("n_frames, unit_tx", [(1, True), (254, True),
+                                               (37, False)])
+def test_batched_update_matches_per_frame_loop(n_frames, unit_tx):
+    pilot_rx, pilot_tx = _tracker_pilots(n_frames, n_frames, unit_tx)
+    loop = PilotLmsEstimator(GRID, 0.5)
+    expected = np.array([loop.update(rx, tx) for rx, tx in zip(pilot_rx, pilot_tx)])
+    batch = PilotLmsEstimator(GRID, 0.5)
+    assert np.array_equal(batch.update(pilot_rx, pilot_tx), expected)
+    assert np.array_equal(batch.weights, loop.weights)
+    assert batch.update_count == loop.update_count == n_frames
+
+
+def test_batched_divergence_names_the_same_frame_and_bin():
+    pilot_rx, pilot_tx = _tracker_pilots(200, 5)
+    pilot_rx[:, 7] *= 50.0  # bin 7 crosses the limit first
+    loop = PilotLmsEstimator(GRID, 2.5)
+    with pytest.raises(DivergenceError) as loop_exc:
+        for rx, tx in zip(pilot_rx, pilot_tx):
+            loop.update(rx, tx)
+    batch = PilotLmsEstimator(GRID, 2.5)
+    with pytest.raises(DivergenceError) as batch_exc:
+        batch.update(pilot_rx, pilot_tx)
+    assert 1 < batch_exc.value.step == loop_exc.value.step < 200
+    assert str(batch_exc.value) == str(loop_exc.value)
+    assert f"pilot bin {GRID.pilot_bins[7]}" in str(batch_exc.value)
+    assert np.array_equal(batch.weights, loop.weights)
+
+
+@pytest.mark.parametrize("shape", [(24,), (3, 26), (2, 3, 25)])
+def test_update_rejects_wrong_pilot_shapes(shape):
+    with pytest.raises(ConfigurationError):
+        PilotLmsEstimator(GRID, 0.5).update(np.ones(shape, complex), 1.0)
+
+
 def test_divergence_reports_step_index():
     state = LmsState.zeros(1, 10.0)
     with pytest.raises(DivergenceError) as exc:

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofdmlink.errors import FramingError
 from ofdmlink.modem import constellation, demap_hard, map_bits
@@ -111,3 +114,128 @@ def test_demapper_matches_exhaustive_oracle(name):
     got_labels = got @ weights
     expected = np.array([nearest_point_oracle(s, spec) for s in noisy])
     assert np.array_equal(got_labels, expected)
+
+
+def exhaustive_labels(symbols, spec):
+    """The demapper's documented rule: argmin over the full float distance
+    matrix, ties to the lowest point index."""
+    d2 = np.abs(symbols[:, None] - spec.points[None, :]) ** 2
+    return spec.labels[np.argmin(d2, axis=1)]
+
+
+def demapped_labels(symbols, spec):
+    k = spec.bits_per_symbol
+    return demap_hard(symbols, spec).reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
+
+
+def exact_d2(symbol, point):
+    dr = Fraction(float(symbol.real)) - Fraction(float(point.real))
+    di = Fraction(float(symbol.imag)) - Fraction(float(point.imag))
+    return dr * dr + di * di
+
+
+def assert_matches_oracles(symbols, spec):
+    """Bit for bit the exhaustive float rule; and the nearest_point_oracle,
+    except where the two points are equally near up to the float rounding
+    that decides an exact tie (the oracle sums squares, numpy squares a
+    hypot, and the two round such ties differently)."""
+    got = demapped_labels(symbols, spec)
+    assert np.array_equal(got, exhaustive_labels(symbols, spec))
+    point_of = {label: spec.points[i] for i, label in enumerate(spec.labels)}
+    for s, label in zip(symbols, got):
+        want = nearest_point_oracle(s, spec)
+        if label != want:
+            a, b = exact_d2(s, point_of[label]), exact_d2(s, point_of[want])
+            assert abs(a - b) <= Fraction(1, 10**15) * max(a, b), (s, label, want)
+
+
+def _neighbours(x):
+    return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+def _grid_levels(spec):
+    """The distinct I and Q levels of a square grid, ascending."""
+    side = len(spec.cell_index)
+    return [np.sort(axis)[::side] for axis in (spec.points.real, spec.points.imag)]
+
+
+def _sector_edges(spec):
+    offset = np.angle(spec.points[0])
+    return offset + (np.arange(spec.order) + 0.5) * 2 * np.pi / spec.order
+
+
+_ORIGIN = np.array([0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
+                    complex(-0.0, -0.0), 1e-300, -1e-300, 1e-300j, -1e-300j,
+                    complex(1e-300, -1e-300), np.nan, np.inf, complex(0, -np.inf)])
+
+
+def boundary_symbols(spec):
+    """Exact decision edges and their float neighbours, plus the origin."""
+    parts = [_ORIGIN]
+    if spec.cell_index is not None:  # square QAM and QPSK: per-axis midpoints
+        axes = []
+        for levels in _grid_levels(spec):
+            axes.append(_neighbours(np.concatenate(
+                [(levels[:-1] + levels[1:]) / 2, levels])))
+        parts.append((axes[0][:, None] + 1j * axes[1][None, :]).ravel())
+    if spec.family == "psk":  # sector edges on and off the unit ring
+        for radius in (1e-300, 0.05, 1.0, 20.0):
+            z = radius * np.exp(1j * _sector_edges(spec))
+            parts += [z, np.nextafter(z.real, -np.inf) + 1j * z.imag,
+                      np.nextafter(z.real, np.inf) + 1j * z.imag,
+                      z.real + 1j * np.nextafter(z.imag, -np.inf),
+                      z.real + 1j * np.nextafter(z.imag, np.inf)]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_demapper_boundaries_match_oracles(name):
+    spec = constellation(name)
+    assert_matches_oracles(boundary_symbols(spec), spec)
+
+
+@st.composite
+def near_boundary(draw, spec):
+    """A symbol a few ulps to a few 1e-9 cells from a decision edge."""
+    ulps = draw(st.integers(-4, 4))
+    shift = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, -2e-9]))
+    on_grid = spec.family == "qam" or spec.cell_index is not None and draw(st.booleans())
+    if on_grid:
+        levels = _grid_levels(spec)
+        axis = draw(st.integers(0, 1))
+        j = draw(st.integers(0, len(levels[axis]) - 2))
+        step = levels[axis][j + 1] - levels[axis][j]
+        edge = (levels[axis][j] + levels[axis][j + 1]) / 2 + shift * step
+        for _ in range(abs(ulps)):
+            edge = np.nextafter(edge, np.sign(ulps) * np.inf)
+        other = draw(st.floats(-3.0, 3.0))
+        return complex(edge, other) if axis == 0 else complex(other, edge)
+    edges = _sector_edges(spec)
+    angle = edges[draw(st.integers(0, len(edges) - 1))]
+    angle += shift * 2 * np.pi / spec.order
+    radius = draw(st.floats(1e-3, 100.0))
+    z = radius * np.exp(1j * angle)
+    re = z.real
+    for _ in range(abs(ulps)):
+        re = np.nextafter(re, np.sign(ulps) * np.inf)
+    return complex(re, z.imag)
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_demapper_near_boundaries_matches_oracles(name, data):
+    spec = constellation(name)
+    symbols = np.array(data.draw(st.lists(near_boundary(spec), min_size=1,
+                                          max_size=8)))
+    assert_matches_oracles(symbols, spec)
+
+
+@pytest.mark.parametrize("field", ["points", "labels", "point_of_label",
+                                   "cell_index"])
+def test_shared_constellation_is_read_only(field):
+    spec = constellation("16qam")
+    assert constellation("16qam") is spec
+    assert constellation(" 16-QAM ") is spec
+    with pytest.raises(ValueError):
+        getattr(spec, field)[0] = 0

@@ -35,6 +35,14 @@ def test_grid_layout():
     assert 0 not in GRID.active_bins  # null DC
 
 
+@pytest.mark.parametrize("field", ["data_bins", "pilot_bins", "active_bins",
+                                   "data_positions"])
+def test_shared_grid_is_read_only(field):
+    assert default_grid() is GRID
+    with pytest.raises(ValueError):
+        getattr(GRID, field)[0] = 0
+
+
 def test_assemble_output_length():
     d, p = random_payload(np.random.default_rng(0))
     assert assemble(d, p, GRID).shape == (320,)

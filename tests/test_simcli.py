@@ -109,6 +109,31 @@ def test_config_rejects_bad_lms_settings(field, value):
         parse_config(f"{field} = {value}")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_bits", 0), ("n_bits", 4_000_001), ("n_bits", 10**15),
+    ("lms_taps", 321), ("training_symbols", 101), ("training_symbols", 10**15),
+])
+def test_config_rejects_out_of_range_sizes(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be in"):
+        SimConfig(**{field: value})
+    with pytest.raises(ConfigurationError, match=f"{field} must be in"):
+        parse_config(f"{field} = {value}")
+
+
+def test_config_accepts_the_largest_sizes():
+    cfg = parse_config("n_bits = 4000000\nlms_taps = 320\n"
+                       "training_symbols = 100")
+    assert (cfg.n_bits, cfg.lms_taps, cfg.training_symbols) == \
+        (4_000_000, 320, 100)
+    SimConfig(receiver_mode="pre_fft_lms", lms_taps=320, training_symbols=1)
+
+
+def test_config_rejects_filter_longer_than_pre_fft_training():
+    with pytest.raises(ConfigurationError, match="training span of 0"):
+        SimConfig(receiver_mode="pre_fft_lms", training_symbols=0)
+    SimConfig(receiver_mode="pilot_fd_lms", training_symbols=0)
+
+
 @pytest.mark.parametrize("modulations", [(), ("qpsk", "bogus")])
 def test_config_rejects_bad_modulations(modulations):
     with pytest.raises(ConfigurationError):
@@ -139,6 +164,11 @@ def test_config_rejects_empty_snr_grid():
     ("k_factor = -1", "k_factor must be finite and >= 0"),
     ("doppler_hz = nan", "doppler_hz must be finite"),
     ("doppler_hz = -5", "doppler_hz must be finite and >= 0"),
+    ("n_bits = 1000000000000000", "n_bits must be in 1..4000000"),
+    ("lms_taps = 100000", "lms_taps must be in 1..320"),
+    ("training_symbols = 1000000000", "training_symbols must be in 0..100"),
+    ("receiver_mode = pre_fft_lms\ntraining_symbols = 0",
+     "lms_taps 11 exceeds the pre-FFT training span of 0 samples"),
 ])
 def test_bad_config_fails_before_any_point(tmp_path, capsys, command, line,
                                            message):
@@ -197,12 +227,23 @@ def test_batched_pilot_division_matches_per_frame_loop(monkeypatch):
         captured["symbols"] = symbols
         return real_demap(symbols, spec)
 
+    real_update = PilotLmsEstimator.update
+    update_shapes = []
+
+    def update(self, pilot_rx, pilot_tx):
+        update_shapes.append(np.shape(pilot_rx))
+        return real_update(self, pilot_rx, pilot_tx)
+
     monkeypatch.setattr(simcli, "disassemble", disassemble)
     monkeypatch.setattr(simcli, "demap_hard", demap_hard)
+    monkeypatch.setattr(PilotLmsEstimator, "update", update)
     cfg = SimConfig(channel="rician", receiver_mode="pilot_fd_lms",
                     n_bits=4000, seed=7)
     run_point(cfg, 20.0)
     data_rx, pilot_rx = captured["bins"]
+    # run_point updates once on the whole (n_frames, n_pilot) batch; the
+    # oracle below updates frame by frame on (n_pilot,) vectors
+    assert update_shapes == [pilot_rx.shape]
     expected = _pilot_receiver_loop(data_rx, pilot_rx, default_grid(),
                                     cfg.step_size_for("pilot_fd_lms"),
                                     cfg.training_symbols).ravel()
@@ -247,6 +288,35 @@ def test_run_point_noiseless_ideal_receiver():
     for mod in ("qpsk", "64qam"):
         cfg = SimConfig(modulations=(mod,), n_bits=12000)
         assert run_point(cfg, 300.0).errors == 0
+
+
+# (receiver, channel, lms_mu) -> modulations a noiseless point must decode
+# without error.  The genie ZF divides by the exact response.  With mu = 1
+# the pilot tracker's estimate equals each received pilot, exact without
+# noise, but on the static profile its linear interpolation between pilots
+# 8 bins apart misses the response by more than 64-QAM's decision margin on
+# some bins (9 errors in 8000 bits at 64-QAM); on AWGN the response is flat
+# and every order decodes.  The default pre-FFT equalizer (11 taps, mu =
+# 3e-3, two training symbols) leaves a residual error that only QPSK's
+# margin absorbs (514 errors in 8000 bits at 16-QAM).
+_NOISELESS_ERROR_FREE = {
+    ("known_channel_zf", "static", 0.0): ("qpsk", "16qam", "64qam", "256qam",
+                                          "256psk"),
+    ("pilot_fd_lms", "static", 1.0): ("qpsk", "16qam"),
+    ("pilot_fd_lms", "awgn", 1.0): ("qpsk", "16qam", "64qam", "256qam",
+                                    "256psk"),
+    ("pre_fft_lms", "static", 0.0): ("qpsk",),
+}
+
+
+@pytest.mark.parametrize("coding", ["none", "cc_k7"])
+@pytest.mark.parametrize("receiver, channel, mu", sorted(_NOISELESS_ERROR_FREE))
+def test_noiseless_point_is_error_free(receiver, channel, mu, coding):
+    for modulation in _NOISELESS_ERROR_FREE[receiver, channel, mu]:
+        cfg = SimConfig(modulations=(modulation,), channel=channel,
+                        coding=coding, receiver_mode=receiver, lms_mu=mu,
+                        n_bits=4000)
+        assert run_point(cfg, 300.0).errors == 0, modulation
 
 
 def test_run_point_matches_qpsk_theory():
