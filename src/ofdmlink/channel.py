@@ -1,8 +1,9 @@
 """Channel impairments: calibrated AWGN, static multipath, Rician fading.
 
-The default multipath profile is the four-tap line [.986, .845, .237,
-.123+.31j], normalized to unit gain at construction so Es/N0 stays well
-defined (the raw values remain available with normalize=False).
+The link has one multipath profile, the four-tap line [.986, .845, .237,
+.123+.31j] (``DEFAULT_TAPS``), scaled to unit gain (``UNIT_TAPS``) so Es/N0
+stays well defined.  Fading runs on the 4 kHz sample clock
+(``SAMPLE_RATE_HZ``), so a Rician Doppler must stay below 2 kHz.
 
 Fading taps follow a Rician decomposition: a fixed line-of-sight component
 carrying K/(K+1) of each tap's power plus a diffuse Jakes-spectrum process
@@ -11,7 +12,7 @@ angles and phases so the autocorrelation converges to J0(2 pi f_d tau).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .errors import ConfigurationError, FramingError
 
 __all__ = [
     "DEFAULT_TAPS",
+    "UNIT_TAPS",
+    "SAMPLE_RATE_HZ",
     "ChannelConfig",
     "ChannelRealization",
     "add_awgn",
@@ -28,30 +31,36 @@ __all__ = [
 ]
 
 DEFAULT_TAPS = np.array([0.986, 0.845, 0.237, 0.123 + 0.31j])
+UNIT_TAPS = DEFAULT_TAPS / np.sqrt(np.sum(np.abs(DEFAULT_TAPS) ** 2))
+UNIT_TAPS.setflags(write=False)
+
+SAMPLE_RATE_HZ = 4000.0
 
 _N_SINUSOIDS = 32
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
+    """One channel of the link; construction rejects what it cannot run."""
+
     kind: str  # "awgn" | "static" | "rician"
-    taps0: np.ndarray = field(default_factory=lambda: DEFAULT_TAPS.copy())
     k_factor: float = 3.0
     doppler_hz: float = 100.0
-    sample_rate_hz: float = 4000.0
-    normalize: bool = True
 
     def __post_init__(self):
         if self.kind not in ("awgn", "static", "rician"):
-            raise ConfigurationError(f"unknown channel kind {self.kind!r}")
-        if self.k_factor < 0:
-            raise ConfigurationError("k_factor must be >= 0")
-        if self.sample_rate_hz <= 0:
-            raise ConfigurationError("sample_rate_hz must be > 0")
-        taps = np.asarray(self.taps0, dtype=np.complex128)
-        if self.normalize:
-            taps = taps / np.sqrt(np.sum(np.abs(taps) ** 2))
-        object.__setattr__(self, "taps0", taps)
+            raise ConfigurationError(f"unknown channel {self.kind!r}")
+        for name in ("k_factor", "doppler_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {value}")
+        # only fading reads the Doppler
+        nyquist = SAMPLE_RATE_HZ / 2
+        if self.kind == "rician" and self.doppler_hz >= nyquist:
+            raise ConfigurationError(
+                f"doppler_hz {self.doppler_hz:g} must be below {nyquist:g} "
+                f"Hz, half the {SAMPLE_RATE_HZ:g} Hz sample rate")
 
 
 @dataclass(frozen=True)
@@ -102,21 +111,17 @@ def _jakes_process(n_samples, doppler_norm, rng):
 
 
 def rician_taps(cfg, n_samples, rng):
-    """Draw one fading realization: per-tap trajectories of length n_samples."""
-    if cfg.doppler_hz >= cfg.sample_rate_hz / 2:
-        raise ConfigurationError(
-            f"doppler {cfg.doppler_hz} Hz >= Nyquist of {cfg.sample_rate_hz} Hz"
-        )
-    taps = cfg.taps0
+    """Draw one fading realization of a Rician cfg: per-tap trajectories of
+    length n_samples."""
     if cfg.kind != "rician":
-        traj = np.repeat(taps[:, None], n_samples, axis=1)
-        return ChannelRealization(traj)
+        raise ConfigurationError(f"not a rician channel: {cfg.kind!r}")
     k = cfg.k_factor
     los = np.sqrt(k / (k + 1.0))
     diffuse = np.sqrt(1.0 / (k + 1.0))
-    doppler_norm = cfg.doppler_hz / cfg.sample_rate_hz
-    g = np.array([_jakes_process(n_samples, doppler_norm, rng) for _ in taps])
-    return ChannelRealization(np.abs(taps)[:, None] * (los + diffuse * g))
+    doppler_norm = cfg.doppler_hz / SAMPLE_RATE_HZ
+    g = np.array([_jakes_process(n_samples, doppler_norm, rng)
+                  for _ in UNIT_TAPS])
+    return ChannelRealization(np.abs(UNIT_TAPS)[:, None] * (los + diffuse * g))
 
 
 def apply_fading(signal, realization):

@@ -75,9 +75,9 @@ def cmd_lms_trace(args):
         fh.write("step,squared_error\n")
         for i, e in enumerate(trace.squared_errors):
             fh.write(f"{i},{e:.6g}\n")
+    final = trace.squared_errors[-simcli.MSE_WINDOW:].mean()
     print(f"step size {mu:g}; initial MSE {initial_mse:.6g}; "
-          f"final 100-step MSE {trace.squared_errors[-100:].mean():.6g}; "
-          f"wrote {path}")
+          f"final {simcli.MSE_WINDOW}-step MSE {final:.6g}; wrote {path}")
 
 
 def main(argv=None):

@@ -29,13 +29,9 @@ __all__ = [
     "lms_step",
     "equalize_pre_fft",
     "PilotLmsEstimator",
-    "sweep_step_size",
-    "DEFAULT_STEP_SWEEP",
 ]
 
 _DIVERGENCE_LIMIT = 1e6
-
-DEFAULT_STEP_SWEEP = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 
 
 @dataclass
@@ -199,22 +195,3 @@ class PilotLmsEstimator:
             parts.append(slope[:, self._interval] * self._offset
                          + fp[:, self._interval])
         return parts[0] + 1j * parts[1]
-
-
-def sweep_step_size(run_fn):
-    """Pick the DEFAULT_STEP_SWEEP step size with the lowest final MSE.
-
-    run_fn(mu) must return a final-MSE figure; divergent candidates may
-    raise DivergenceError and are skipped.
-    """
-    best_mu, best_mse = None, np.inf
-    for mu in DEFAULT_STEP_SWEEP:
-        try:
-            mse = run_fn(mu)
-        except DivergenceError:
-            continue
-        if np.isfinite(mse) and mse < best_mse:
-            best_mu, best_mse = mu, mse
-    if best_mu is None:
-        raise DivergenceError(0, 0.0, detail="every candidate step size diverged")
-    return best_mu, best_mse

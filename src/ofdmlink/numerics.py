@@ -1,8 +1,4 @@
-"""Core numerics: the FFT and seeded random streams.
-
-The FFT is numpy's, restricted to the power-of-two lengths the OFDM grid
-uses.  Forward transform is unnormalized, the inverse carries the 1/N
-factor.  Both accept batched input (transform along the last axis).
+"""Seeded random streams.
 
 Random numbers come from a counter-based Philox generator keyed by
 (master_seed, stream_id), so independent streams are cheap to derive and
@@ -16,29 +12,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = [
-    "fft",
-    "ifft",
-    "RngStream",
-]
-
-
-def _checked(x):
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ConfigurationError(f"FFT length must be a power of two >= 2, got {n}")
-    return x
-
-
-def fft(x):
-    """Forward DFT, X[k] = sum_n x[n] exp(-2j pi k n / N), along the last axis."""
-    return np.fft.fft(_checked(x))
-
-
-def ifft(x):
-    """Inverse DFT with the 1/N factor, along the last axis."""
-    return np.fft.ifft(_checked(x))
+__all__ = ["RngStream"]
 
 
 class RngStream:

@@ -5,18 +5,20 @@ around a null DC (bins 1..100 and 156..255), cyclic prefix of 64 samples
 (1/4 of the FFT size).  Every 8th active bin carries a comb pilot (25
 pilots, 175 data bins per symbol).
 
-Assembly scales the inverse transform so the mean time-sample power of a
-symbol built from unit-energy inputs is 1; disassembly undoes the scaling,
-so the noiseless round trip is the identity.
+The transforms are numpy's: the forward FFT is unnormalized and the
+inverse carries the 1/N factor.  Assembly scales the inverse transform so
+the mean time-sample power of a symbol built from unit-energy inputs is 1;
+disassembly undoes the scaling, so the noiseless round trip is the
+identity.
 """
 
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import fft, ifft
 
 from .errors import FramingError, SingularChannelError
-from .numerics import fft, ifft
 
 __all__ = ["OfdmGrid", "default_grid", "assemble", "disassemble", "equalize_one_tap"]
 

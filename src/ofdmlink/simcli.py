@@ -18,14 +18,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fft
 
-from .channel import (DEFAULT_TAPS, ChannelConfig, add_awgn, apply_fading,
+from .channel import (UNIT_TAPS, ChannelConfig, add_awgn, apply_fading,
                       rician_taps, static_multipath)
-from .equalizer import PilotLmsEstimator, equalize_pre_fft, sweep_step_size
-from .errors import ConfigurationError
+from .equalizer import PilotLmsEstimator, equalize_pre_fft
+from .errors import ConfigurationError, DivergenceError
 from .fec import conv_encode, viterbi_decode
 from .modem import constellation, demap_hard, map_bits
-from .numerics import RngStream, fft
+from .numerics import RngStream
 from .ofdm import assemble, default_grid, disassemble, equalize_one_tap
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "read_csv",
     "emit_plot",
     "CSV_HEADER",
+    "MSE_WINDOW",
 ]
 
 CSV_HEADER = "modulation,channel,coding,receiver_mode,snr_db,ebn0_db,bits,errors,ber,seed"
@@ -54,6 +56,10 @@ _SAMPLE_HZ = 4000.0
 # step sizes that behave well for each adaptive receiver, used when the
 # config leaves lms_mu unset
 _DEFAULT_MU = {"pilot_fd_lms": 0.5, "pre_fft_lms": 3e-3}
+# the step sizes lms-trace tries when lms_mu is unset, ranked by the mean
+# squared error over the last MSE_WINDOW training steps
+_MU_CANDIDATES = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
+MSE_WINDOW = 100
 
 # the longest SNR grid a config file may ask for
 _MAX_SNR_POINTS = 10_000
@@ -78,12 +84,11 @@ class SimConfig:
     lms_taps: int = 11
     lms_mu: float = 0.0  # 0 means "use the per-mode default"
     training_symbols: int = 2
-    normalize_taps: bool = True
     source: str = "random"
 
     def __post_init__(self):
-        if self.channel not in ("awgn", "static", "rician"):
-            raise ConfigurationError(f"unknown channel {self.channel!r}")
+        # the channel owns the checks on channel, k_factor and doppler_hz
+        ChannelConfig(self.channel, self.k_factor, self.doppler_hz)
         if self.coding not in ("none", "cc_k7"):
             raise ConfigurationError(f"unknown coding {self.coding!r}")
         if self.receiver_mode not in ("pre_fft_lms", "pilot_fd_lms",
@@ -103,16 +108,13 @@ class SimConfig:
             if not lo <= value <= hi:
                 raise ConfigurationError(
                     f"{name} must be in {lo}..{hi}, got {value}")
-        span = self.training_symbols * symbol_len
-        if self.receiver_mode == "pre_fft_lms" and self.lms_taps > span:
+        if self.receiver_mode == "pre_fft_lms":
+            _check_training_span(self)
+        if not (math.isfinite(self.lms_mu) and self.lms_mu >= 0):
             raise ConfigurationError(
-                f"lms_taps {self.lms_taps} exceeds the pre-FFT training span "
-                f"of {span} samples")
-        for name in ("k_factor", "doppler_hz", "lms_mu"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(
-                    f"{name} must be finite and >= 0, got {value}")
+                f"lms_mu must be finite and >= 0, got {self.lms_mu}")
+        if self.source not in ("random", "sine"):
+            raise ConfigurationError(f"unknown source {self.source!r}")
         if not self.snr_grid_db:
             raise ConfigurationError("empty SNR grid")
         for s in self.snr_grid_db:
@@ -125,6 +127,15 @@ class SimConfig:
 
     def step_size_for(self, mode):
         return self.lms_mu if self.lms_mu > 0 else _DEFAULT_MU[mode]
+
+
+def _check_training_span(cfg):
+    """Reject a pre-FFT filter longer than the training it learns from."""
+    span = cfg.training_symbols * default_grid().symbol_len
+    if cfg.lms_taps > span:
+        raise ConfigurationError(
+            f"lms_taps {cfg.lms_taps} exceeds the pre-FFT training span "
+            f"of {span} samples")
 
 
 @dataclass(frozen=True)
@@ -147,7 +158,7 @@ class BerPoint:
 _CONFIG_KEYS = {
     "modulation", "channel", "coding", "receiver_mode", "snr_start_db",
     "snr_stop_db", "snr_step_db", "n_bits", "seed", "k_factor", "doppler_hz",
-    "lms_taps", "lms_mu", "training_symbols", "normalize_taps",
+    "lms_taps", "lms_mu", "training_symbols",
 }
 
 
@@ -185,11 +196,6 @@ def parse_config(text):
                       ("doppler_hz", float), ("lms_mu", float)):
         if key in raw:
             kwargs[key] = number(key, cast)
-    if "normalize_taps" in raw:
-        value = raw["normalize_taps"].lower()
-        if value not in ("true", "false"):
-            raise ConfigurationError("normalize_taps must be true or false")
-        kwargs["normalize_taps"] = value == "true"
     start = number("snr_start_db", float, 0.0)
     stop = number("snr_stop_db", float, 50.0)
     step = number("snr_step_db", float, 2.0)
@@ -264,10 +270,7 @@ def _source_bits(cfg, rng):
 
 def _channel_response(taps, grid):
     """Frequency response on every FFT bin from taps of shape (..., n_taps)."""
-    taps = np.asarray(taps)
-    padded = np.zeros(taps.shape[:-1] + (grid.fft_size,), dtype=np.complex128)
-    padded[..., : taps.shape[-1]] = taps
-    return fft(padded)
+    return fft(taps, grid.fft_size)
 
 
 def _through_channel(cfg, flat, snr_db, grid, rng):
@@ -278,14 +281,12 @@ def _through_channel(cfg, flat, snr_db, grid, rng):
     the static taps (n_taps,), the single unit tap on AWGN, or the per-sample
     Rician trajectories (n_taps, n_samples).
     """
-    chan = ChannelConfig(kind=cfg.channel, taps0=DEFAULT_TAPS,
-                         k_factor=cfg.k_factor, doppler_hz=cfg.doppler_hz,
-                         normalize=cfg.normalize_taps)
     if cfg.channel == "awgn":
         rx, taps = flat, np.ones(1, dtype=np.complex128)
     elif cfg.channel == "static":
-        rx, taps = static_multipath(flat, chan.taps0), chan.taps0
+        rx, taps = static_multipath(flat, UNIT_TAPS), UNIT_TAPS
     else:
+        chan = ChannelConfig(cfg.channel, cfg.k_factor, cfg.doppler_hz)
         realization = rician_taps(chan, flat.size, rng)
         rx, taps = apply_fading(flat, realization), realization.tap_trajectories
     signal_power = float(np.mean(np.abs(flat) ** 2))
@@ -391,9 +392,11 @@ def run_lms_trace(cfg):
     Returns ``(trace, mu, initial_mse)``: the LMS trace, the chosen step
     size, and the error power of the unadapted (zero-weight) equalizer.
 
-    When lms_mu is unset the step size is picked by a sweep minimizing the
-    final 100-step training MSE.
+    When lms_mu is unset, each candidate step size trains once and the
+    trace with the lowest finite MSE over the last MSE_WINDOW steps is kept
+    (the first one on a tie); a diverging candidate is skipped.
     """
+    _check_training_span(cfg)
     spec = constellation(cfg.modulations[0])
     grid = default_grid()
     rng = RngStream(cfg.seed, 0)
@@ -405,19 +408,26 @@ def run_lms_trace(cfg):
     pilots = map_bits(rng.bits(n_train * n_pilot * k), spec).reshape(n_train, n_pilot)
     flat = assemble(frames, pilots, grid).ravel()
     rx, _ = _through_channel(cfg, flat, cfg.snr_grid_db[0], grid, rng)
-
-    def final_mse(mu):
-        _, trace = equalize_pre_fft(rx, flat, cfg.lms_taps, mu)
-        return float(trace.squared_errors[-100:].mean())
-
-    if cfg.lms_mu > 0:
-        mu = cfg.lms_mu
-    else:
-        mu, _ = sweep_step_size(final_mse)
-    _, trace = equalize_pre_fft(rx, flat, cfg.lms_taps, mu)
     # error power of the unadapted (zero-weight) equalizer, i.e. the
     # reference level the converged MSE is compared against
     initial_mse = float(np.mean(np.abs(flat) ** 2))
+
+    if cfg.lms_mu > 0:
+        _, trace = equalize_pre_fft(rx, flat, cfg.lms_taps, cfg.lms_mu)
+        return trace, cfg.lms_mu, initial_mse
+    best = None
+    for mu in _MU_CANDIDATES:
+        try:
+            _, trace = equalize_pre_fft(rx, flat, cfg.lms_taps, mu)
+        except DivergenceError:
+            continue
+        mse = float(trace.squared_errors[-MSE_WINDOW:].mean())
+        if np.isfinite(mse) and (best is None or mse < best[0]):
+            best = mse, mu, trace
+    if best is None:
+        raise DivergenceError(0, 0.0,
+                              detail="every candidate step size diverged")
+    _, mu, trace = best
     return trace, mu, initial_mse
 
 
@@ -438,18 +448,39 @@ def write_csv(points, path):
 
 
 def read_csv(path):
+    """Read a points CSV; a malformed row raises ConfigurationError naming
+    the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+        lines = [(n, line.strip()) for n, line in enumerate(fh, 1)
+                 if line.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ConfigurationError(f"{path}: missing or wrong CSV header")
+    n_fields = CSV_HEADER.count(",") + 1
     points = []
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
+        where = f"{path} line {lineno}"
         f = line.split(",")
-        points.append(BerPoint(
-            modulation=f[0], channel=f[1], coding=f[2], receiver_mode=f[3],
-            snr_db=float(f[4]), ebn0_db=float(f[5]), bits=int(f[6]),
-            errors=int(f[7]), seed=int(f[9]),
-        ))
+        if len(f) != n_fields:
+            raise ConfigurationError(
+                f"{where}: expected {n_fields} fields, got {len(f)}")
+        try:
+            p = BerPoint(
+                modulation=f[0], channel=f[1], coding=f[2], receiver_mode=f[3],
+                snr_db=float(f[4]), ebn0_db=float(f[5]), bits=int(f[6]),
+                errors=int(f[7]), seed=int(f[9]),
+            )
+        except ValueError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+        if not (math.isfinite(p.snr_db) and math.isfinite(p.ebn0_db)):
+            raise ConfigurationError(
+                f"{where}: snr_db and ebn0_db must be finite")
+        if p.bits < 1:
+            raise ConfigurationError(
+                f"{where}: bits must be >= 1, got {p.bits}")
+        if not 0 <= p.errors <= p.bits:
+            raise ConfigurationError(
+                f"{where}: errors must be in 0..{p.bits}, got {p.errors}")
+        points.append(p)
     return points
 
 

@@ -5,16 +5,17 @@ lines as they complete.
 """
 
 import numpy as np
+from numpy.fft import fft
 from scipy.special import j0
 
 from ofdmlink import cli
-from ofdmlink.channel import (DEFAULT_TAPS, ChannelConfig, add_awgn,
+from ofdmlink.channel import (DEFAULT_TAPS, UNIT_TAPS, ChannelConfig, add_awgn,
                               rician_taps, static_multipath, _jakes_process)
 from ofdmlink.equalizer import LmsState, lms_step
 from ofdmlink.errors import DivergenceError
 from ofdmlink.fec import conv_encode, viterbi_decode
 from ofdmlink.modem import constellation, map_bits
-from ofdmlink.numerics import RngStream, fft
+from ofdmlink.numerics import RngStream
 from ofdmlink.ofdm import assemble, default_grid, disassemble, equalize_one_tap
 from ofdmlink.simcli import SimConfig, run_lms_trace, run_point, run_sweep
 from theory import binomial_ci, q_function, windowed_mse
@@ -191,12 +192,12 @@ def test_criterion_7_channel_statistics():
     diffuse = np.zeros(4)
     for _ in range(500):
         h = rician_taps(cfg, 200, rng).tap_trajectories
-        los = np.abs(cfg.taps0)[:, None] * np.sqrt(3 / 4)
+        los = np.abs(UNIT_TAPS)[:, None] * np.sqrt(3 / 4)
         total += np.mean(np.abs(h) ** 2, axis=1)
         diffuse += np.mean(np.abs(h - los) ** 2, axis=1)
     total /= 500
     diffuse /= 500
-    mean_sq = np.abs(cfg.taps0) ** 2
+    mean_sq = np.abs(UNIT_TAPS) ** 2
     rician_ok = (np.all(np.abs(total / mean_sq - 1.0) < 0.03)
                  and np.all(np.abs(diffuse / mean_sq - 0.25) < 0.03))
 

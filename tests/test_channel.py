@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from ofdmlink.channel import (DEFAULT_TAPS, ChannelConfig, ChannelRealization,
-                              add_awgn, apply_fading, rician_taps,
-                              static_multipath, _jakes_process)
+from ofdmlink.channel import (DEFAULT_TAPS, UNIT_TAPS, ChannelConfig,
+                              ChannelRealization, add_awgn, apply_fading,
+                              rician_taps, static_multipath, _jakes_process)
 from ofdmlink.errors import ConfigurationError, FramingError
 from ofdmlink.numerics import RngStream
 
@@ -68,40 +68,48 @@ def test_static_multipath_matches_oracle():
 
 
 def test_config_normalizes_taps():
-    cfg = ChannelConfig(kind="static")
-    assert abs(np.sum(np.abs(cfg.taps0) ** 2) - 1.0) < 1e-12
-    raw = ChannelConfig(kind="static", normalize=False)
-    assert np.allclose(raw.taps0, DEFAULT_TAPS)
+    assert abs(np.sum(np.abs(UNIT_TAPS) ** 2) - 1.0) < 1e-12
+    # the expression every recorded count was made with, to the bit
+    expected = DEFAULT_TAPS / np.sqrt(np.sum(np.abs(DEFAULT_TAPS) ** 2))
+    assert np.array_equal(UNIT_TAPS, expected)
+    assert not UNIT_TAPS.flags.writeable
 
 
 def test_rician_los_only_limit():
     cfg = ChannelConfig(kind="rician", k_factor=1e9, doppler_hz=100.0)
     real = rician_taps(cfg, 500, RngStream(5, 0))
-    for l, tap in enumerate(cfg.taps0):
+    for l, tap in enumerate(UNIT_TAPS):
         assert np.max(np.abs(real.tap_trajectories[l] - np.abs(tap))) < 1e-3
 
 
 def test_static_realization_constant():
-    cfg = ChannelConfig(kind="static")
-    real = rician_taps(cfg, 100, RngStream(6, 0))
-    assert np.all(real.tap_trajectories == real.tap_trajectories[:, :1])
+    # without Doppler every sinusoid of the Jakes sum stands still
+    cfg = ChannelConfig(kind="rician", doppler_hz=0.0)
+    traj = rician_taps(cfg, 100, RngStream(6, 0)).tap_trajectories
+    assert np.max(np.abs(traj - traj[:, :1])) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["awgn", "static"])
+def test_rician_taps_rejects_other_channels(kind):
+    with pytest.raises(ConfigurationError, match="not a rician channel"):
+        rician_taps(ChannelConfig(kind=kind), 10, RngStream(6, 0))
 
 
 def test_rician_power_split_k3():
     cfg = ChannelConfig(kind="rician", k_factor=3.0, doppler_hz=100.0)
     rng = RngStream(7, 0)
     n_real, n_samp = 500, 200
-    total = np.zeros(len(cfg.taps0))
-    diffuse = np.zeros(len(cfg.taps0))
+    total = np.zeros(len(UNIT_TAPS))
+    diffuse = np.zeros(len(UNIT_TAPS))
     for _ in range(n_real):
         real = rician_taps(cfg, n_samp, rng)
         h = real.tap_trajectories
-        los = np.abs(cfg.taps0)[:, None] * np.sqrt(3 / 4)
+        los = np.abs(UNIT_TAPS)[:, None] * np.sqrt(3 / 4)
         total += np.mean(np.abs(h) ** 2, axis=1)
         diffuse += np.mean(np.abs(h - los) ** 2, axis=1)
     total /= n_real
     diffuse /= n_real
-    mean_sq = np.abs(cfg.taps0) ** 2
+    mean_sq = np.abs(UNIT_TAPS) ** 2
     assert np.all(np.abs(total / mean_sq - 1.0) < 0.03)
     assert np.all(np.abs(diffuse / mean_sq - 0.25) < 0.03)
 
@@ -123,9 +131,15 @@ def test_jakes_autocorrelation(fd):
 
 
 def test_doppler_beyond_nyquist_rejected():
-    cfg = ChannelConfig(kind="rician", doppler_hz=2001.0, sample_rate_hz=4000.0)
-    with pytest.raises(ConfigurationError):
-        rician_taps(cfg, 10, RngStream(9, 0))
+    for doppler in (2000.0, 2001.0):
+        with pytest.raises(ConfigurationError, match="below 2000 Hz"):
+            ChannelConfig(kind="rician", doppler_hz=doppler)
+    cfg = ChannelConfig(kind="rician", doppler_hz=1999.9)
+    traj = rician_taps(cfg, 10, RngStream(9, 0)).tap_trajectories
+    assert traj.shape == (4, 10)
+    # the other channels never read the Doppler
+    for kind in ("awgn", "static"):
+        ChannelConfig(kind=kind, doppler_hz=3000.0)
 
 
 def test_apply_fading_constant_reduces_to_static():

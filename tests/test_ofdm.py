@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from numpy.fft import fft
 
 from ofdmlink.channel import DEFAULT_TAPS, static_multipath
 from ofdmlink.errors import FramingError, SingularChannelError
-from ofdmlink.numerics import fft
 from ofdmlink.ofdm import (assemble, default_grid, disassemble,
                            equalize_one_tap)
 

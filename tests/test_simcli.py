@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from ofdmlink import cli, simcli
 from ofdmlink.channel import ChannelConfig, rician_taps
 from ofdmlink.equalizer import PilotLmsEstimator
-from ofdmlink.errors import ConfigurationError, SimError
+from ofdmlink.errors import ConfigurationError, DivergenceError, SimError
 from ofdmlink.numerics import RngStream
 from ofdmlink.ofdm import default_grid, equalize_one_tap
 from ofdmlink.simcli import (BerPoint, SimConfig, ebn0_from_esn0, emit_plot,
                              generate_source, parse_config, read_csv,
-                             reconstruct_sine, run_point, run_sweep,
-                             _channel_response)
+                             reconstruct_sine, run_lms_trace, run_point,
+                             run_sweep, _channel_response)
 from theory import binomial_ci, q_function
 
 
@@ -145,6 +147,18 @@ def test_config_rejects_empty_snr_grid():
         SimConfig(snr_grid_db=())
 
 
+def test_config_rejects_unknown_source():
+    with pytest.raises(ConfigurationError, match="unknown source 'sin'"):
+        SimConfig(source="sin")
+    SimConfig(source="sine")
+
+
+def test_config_has_no_normalize_taps_key():
+    with pytest.raises(ConfigurationError,
+                       match="unknown key 'normalize_taps'"):
+        parse_config("normalize_taps = true")
+
+
 @pytest.mark.parametrize("command", ["ber-sweep", "lms-trace", "demo-audio"])
 @pytest.mark.parametrize("line, message", [
     ("modulation = ,", "no modulation"),
@@ -169,6 +183,9 @@ def test_config_rejects_empty_snr_grid():
     ("training_symbols = 1000000000", "training_symbols must be in 0..100"),
     ("receiver_mode = pre_fft_lms\ntraining_symbols = 0",
      "lms_taps 11 exceeds the pre-FFT training span of 0 samples"),
+    ("channel = rayleigh", "unknown channel 'rayleigh'"),
+    ("channel = rician\ndoppler_hz = 2000",
+     "doppler_hz 2000 must be below 2000 Hz, half the 4000 Hz sample rate"),
 ])
 def test_bad_config_fails_before_any_point(tmp_path, capsys, command, line,
                                            message):
@@ -183,6 +200,99 @@ def test_bad_config_fails_before_any_point(tmp_path, capsys, command, line,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ber-sweep", "lms-trace", "demo-audio"])
+def test_rician_doppler_just_below_half_the_rate_runs(tmp_path, capsys,
+                                                      command):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("channel = rician\ndoppler_hz = 1999.9\nn_bits = 800\n"
+                   "snr_start_db = 20\nsnr_stop_db = 20\n")
+    args = [command, "--config", str(cfg)]
+    if command != "demo-audio":
+        args += ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_lms_trace_rejects_empty_training_before_any_draw(tmp_path, capsys,
+                                                          monkeypatch):
+    calls = []
+    monkeypatch.setattr(RngStream, "__init__",
+                        lambda *args: calls.append("rng"))
+    monkeypatch.setattr(simcli, "_through_channel",
+                        lambda *args: calls.append("channel"))
+    cfg = tmp_path / "untrained.cfg"
+    cfg.write_text("training_symbols = 0\n")
+    assert cli.main(["lms-trace", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: lms_taps 11 exceeds the pre-FFT training span "
+                   "of 0 samples\n")
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+# sha256 of lms_trace.csv, recorded before the step-size sweep stopped
+# retraining its winner
+_LMS_TRACE_SHA256 = {
+    "channel = static\nsnr_start_db = 20\nseed = 3\n":
+        "f57edc0e08f5c481c63fbf5a5cbba907afe30e3e6c299f6e8d157231b2d88443",
+    "modulation = 16qam\nchannel = static\nsnr_start_db = 15\n"
+    "lms_mu = 0.002\nseed = 5\n":
+        "2cca8e5a50d79cee787c6f67c1b71e42cc31151dbb2bce6c231fcffbbea9a883",
+}
+
+
+@pytest.mark.parametrize("text", sorted(_LMS_TRACE_SHA256))
+def test_lms_trace_csv_pinned(tmp_path, capsys, text):
+    cfg = tmp_path / "trace.cfg"
+    cfg.write_text(text)
+    assert cli.main(["lms-trace", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = (tmp_path / "lms_trace.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _LMS_TRACE_SHA256[text]
+
+
+def _count_pre_fft_calls(monkeypatch):
+    mus = []
+    real = simcli.equalize_pre_fft
+
+    def spy(rx, training, n_taps, step_size):
+        mus.append(step_size)
+        return real(rx, training, n_taps, step_size)
+
+    monkeypatch.setattr(simcli, "equalize_pre_fft", spy)
+    return mus
+
+
+@pytest.mark.parametrize("lms_mu", [0.0, 0.002])
+def test_lms_trace_trains_each_candidate_once(monkeypatch, lms_mu):
+    cfg = SimConfig(channel="static", snr_grid_db=(20.0,), seed=3,
+                    lms_mu=lms_mu)
+    mus = _count_pre_fft_calls(monkeypatch)
+    trace, mu, _ = run_lms_trace(cfg)
+    assert mus == ([lms_mu] if lms_mu else list(simcli._MU_CANDIDATES))
+    fresh, fresh_mu, _ = run_lms_trace(replace(cfg, lms_mu=mu))
+    assert fresh_mu == mu
+    assert np.array_equal(fresh.squared_errors, trace.squared_errors)
+    assert np.array_equal(fresh.final_weights, trace.final_weights)
+
+
+def test_lms_trace_skips_diverging_candidates(monkeypatch):
+    cfg = SimConfig(channel="static", snr_grid_db=(20.0,), seed=3)
+    monkeypatch.setattr(simcli, "_MU_CANDIDATES", (50.0, 1e-2, 5.0))
+    mus = _count_pre_fft_calls(monkeypatch)
+    _, mu, _ = run_lms_trace(cfg)
+    assert mu == 1e-2
+    assert mus == [50.0, 1e-2, 5.0]
+    monkeypatch.setattr(simcli, "_MU_CANDIDATES", (50.0, 5.0))
+    with pytest.raises(DivergenceError,
+                       match="every candidate step size diverged"):
+        run_lms_trace(cfg)
 
 
 def test_batched_rician_zf_matches_per_frame_loop():
@@ -397,6 +507,38 @@ def test_cli_end_to_end(tmp_path, capsys):
                      "--out", str(tmp_path / "replot.svg")]) == 0
     assert cli.main(["demo-audio", "--config", str(cfg)]) == 0
     capsys.readouterr()
+
+
+_GOOD_ROW = "qpsk,awgn,none,known_channel_zf,0,-3.0103,100,3,0.03,1"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("qpsk,awgn,none,known_channel_zf,0,-3,100", "expected 10 fields, got 7"),
+    (_GOOD_ROW + ",1", "expected 10 fields, got 11"),
+    ("qpsk,awgn,none,known_channel_zf,abc,-3,100,3,0.03,1",
+     "could not convert string to float: 'abc'"),
+    ("qpsk,awgn,none,known_channel_zf,0,-3,1e2,3,0.03,1",
+     "invalid literal for int()"),
+    ("qpsk,awgn,none,known_channel_zf,0,nan,100,3,0.03,1",
+     "snr_db and ebn0_db must be finite"),
+    ("qpsk,awgn,none,known_channel_zf,0,-3,0,0,0,1",
+     "bits must be >= 1, got 0"),
+    ("qpsk,awgn,none,known_channel_zf,0,-3,100,101,1.01,1",
+     "errors must be in 0..100, got 101"),
+    ("qpsk,awgn,none,known_channel_zf,0,-3,100,-1,0,1",
+     "errors must be in 0..100, got -1"),
+])
+def test_plot_rejects_malformed_csv_rows(tmp_path, capsys, row, message):
+    csv = tmp_path / "points.csv"
+    # the blank line still counts: the bad row is line 4 of the file
+    csv.write_text("\n".join([simcli.CSV_HEADER, _GOOD_ROW, "", row]) + "\n")
+    svg = tmp_path / "curves.svg"
+    assert cli.main(["plot", "--in", str(csv), "--out", str(svg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {csv} line 4: ") and err.count("\n") == 1
+    assert message in err
+    assert not svg.exists()
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):
