@@ -1,6 +1,6 @@
-"""LMS adaptive filtering: the core engine plus its two receiver wrappers.
+"""LMS adaptive filtering: the two receivers built on one update rule.
 
-The engine uses the standard complex LMS convention
+Both use the standard complex LMS convention
 
     y(n) = w^H x(n)
     e(n) = d(n) - y(n)
@@ -8,8 +8,6 @@ The engine uses the standard complex LMS convention
 
 which is equivalent to a steepest-descent step with the rank-one
 instantaneous covariance estimates R(n) = x x^H and r(n) = d* x.
-
-Two wrappers are built on the engine:
 
 * ``equalize_pre_fft`` -- a time-domain transversal equalizer running ahead
   of the receiver FFT, trained on known transmitted samples, then frozen.
@@ -20,31 +18,14 @@ Two wrappers are built on the engine:
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DivergenceError
 
-__all__ = [
-    "LmsState",
-    "LmsTrace",
-    "lms_step",
-    "equalize_pre_fft",
-    "PilotLmsEstimator",
-]
+__all__ = ["LmsTrace", "equalize_pre_fft", "PilotLmsEstimator"]
 
 _DIVERGENCE_LIMIT = 1e6
-
-
-@dataclass
-class LmsState:
-    weights: np.ndarray
-    step_size: float
-    update_count: int = 0
-
-    @classmethod
-    def zeros(cls, n_taps, step_size):
-        if step_size <= 0:
-            raise ConfigurationError(f"step size must be > 0, got {step_size}")
-        return cls(np.zeros(n_taps, dtype=np.complex128), step_size)
+_CHUNK = 320  # updates between two divergence scans: one OFDM symbol
 
 
 @dataclass
@@ -55,28 +36,19 @@ class LmsTrace:
     final_weights: np.ndarray
 
 
-def lms_step(state, x, d):
-    """One LMS update.  Returns (y, e); the state is advanced in place."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != state.weights.shape:
-        raise ConfigurationError(
-            f"regressor length {x.size} != weight length {state.weights.size}"
-        )
-    y = np.vdot(state.weights, x)
-    e = d - y
-    state.weights = state.weights + state.step_size * x * np.conj(e)
-    state.update_count += 1
-    if not np.all(np.abs(state.weights) <= _DIVERGENCE_LIMIT):
-        raise DivergenceError(state.update_count, state.step_size)
-    return y, e
-
-
 def equalize_pre_fft(rx, training, n_taps, step_size):
     """Adaptive transversal equalizer ahead of the FFT.
 
     The regressor at step n is [rx[n], rx[n-1], ..., rx[n-n_taps+1]] and the
     desired sample is training[n - delay] with delay = n_taps // 2.  After
     the training span the weights are frozen.
+
+    Each training update repeats the arithmetic of ``w + mu * x * conj(e)``
+    with y = vdot(w, x) on the reversed regressor view itself, so every output
+    equals a per-sample loop's to the bit.  The weights after each update go
+    to a one-symbol history that is scanned once per chunk: weights beyond
+    1e6 in magnitude raise DivergenceError naming the first such update,
+    counted from 1, and the updates after it are discarded.
 
     Past the training span, y = w^H x is an FIR filter with the frozen taps
     conj(w): out[m] = convolve(rx, conj(w))[m + delay], in one call.
@@ -90,21 +62,41 @@ def equalize_pre_fft(rx, training, n_taps, step_size):
         raise ConfigurationError(f"n_taps must be >= 1, got {n_taps}")
     if len(training) < n_taps:
         raise ConfigurationError("training shorter than the filter")
+    if step_size <= 0:
+        raise ConfigurationError(f"step size must be > 0, got {step_size}")
 
     delay = n_taps // 2
-    state = LmsState.zeros(n_taps, step_size)
     padded = np.pad(rx, (n_taps - 1, delay))
     n_adapt = min(len(rx), len(training))
+    regressors = sliding_window_view(padded, n_taps)[delay : delay + n_adapt, ::-1]
     out = np.empty(len(rx), dtype=np.complex128)
     sq_errors = np.empty(n_adapt)
-    for m in range(n_adapt):
-        x = padded[m + delay : m + delay + n_taps][::-1]
-        out[m], e = lms_step(state, x, training[m])
-        sq_errors[m] = abs(e) ** 2
-    out[n_adapt:] = np.convolve(rx, np.conj(state.weights))[
+    history = np.zeros((min(_CHUNK, n_adapt) + 1, n_taps), dtype=np.complex128)
+    update = np.empty(n_taps, dtype=np.complex128)
+    vdot, multiply, add = np.vdot, np.multiply, np.add
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_adapt, _CHUNK):
+            stop = min(start + _CHUNK, n_adapt)
+            xs = regressors[start:stop]
+            span = history[: stop - start + 1]
+            for m, x, step, w, w_next, d in zip(
+                    range(start, stop), xs, step_size * xs, span[:-1],
+                    span[1:], training[start:stop]):
+                y = vdot(w, x)
+                e = d - y
+                out[m] = y
+                sq_errors[m] = abs(e) ** 2
+                multiply(step, complex(e).conjugate(), out=update)
+                add(w, update, out=w_next)
+            bounded = np.all(np.abs(span[1:]) <= _DIVERGENCE_LIMIT, axis=1)
+            if not bounded.all():
+                raise DivergenceError(start + int(np.argmin(bounded)) + 1,
+                                      step_size)
+            history[0] = span[-1]
+    weights = history[0].copy()
+    out[n_adapt:] = np.convolve(rx, np.conj(weights))[
         n_adapt + delay : len(rx) + delay]
-    trace = LmsTrace(sq_errors, state.weights.copy())
-    return out, trace
+    return out, LmsTrace(sq_errors, weights)
 
 
 class PilotLmsEstimator:

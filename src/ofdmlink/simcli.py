@@ -66,7 +66,7 @@ _MAX_SNR_POINTS = 10_000
 # the largest point a config may ask for: a coded Rician pre-FFT LMS point,
 # the heaviest chain, peaks near 0.45 GB per 10^6 bits
 _MAX_N_BITS = 4_000_000
-# each training symbol adds 320 per-sample LMS steps to every pre-FFT point
+# each training symbol adds 320 LMS updates to every pre-FFT point
 _MAX_TRAINING_SYMBOLS = 100
 
 
@@ -226,8 +226,16 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(_read_text(path))
+
+
+def _read_text(path):
+    """A file's text; ConfigurationError naming it if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
 
 
 def generate_source(n_bits):
@@ -450,9 +458,9 @@ def write_csv(points, path):
 def read_csv(path):
     """Read a points CSV; a malformed row raises ConfigurationError naming
     the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, line.strip()) for n, line in enumerate(fh, 1)
-                 if line.strip()]
+    lines = [(n, line.strip())
+             for n, line in enumerate(_read_text(path).split("\n"), 1)
+             if line.strip()]
     if not lines or lines[0][1] != CSV_HEADER:
         raise ConfigurationError(f"{path}: missing or wrong CSV header")
     n_fields = CSV_HEADER.count(",") + 1

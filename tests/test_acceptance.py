@@ -11,14 +11,14 @@ from scipy.special import j0
 from ofdmlink import cli
 from ofdmlink.channel import (DEFAULT_TAPS, UNIT_TAPS, ChannelConfig, add_awgn,
                               rician_taps, static_multipath, _jakes_process)
-from ofdmlink.equalizer import LmsState, lms_step
 from ofdmlink.errors import DivergenceError
 from ofdmlink.fec import conv_encode, viterbi_decode
 from ofdmlink.modem import constellation, map_bits
 from ofdmlink.numerics import RngStream
 from ofdmlink.ofdm import assemble, default_grid, disassemble, equalize_one_tap
 from ofdmlink.simcli import SimConfig, run_lms_trace, run_point, run_sweep
-from theory import binomial_ci, q_function, windowed_mse
+from theory import (LmsState, binomial_ci, lms_step, q_function,
+                    windowed_mse)
 
 GRID = default_grid()
 NORM_TAPS = DEFAULT_TAPS / np.linalg.norm(DEFAULT_TAPS)

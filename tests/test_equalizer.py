@@ -1,15 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.fft import fft
 
 from ofdmlink.channel import DEFAULT_TAPS, static_multipath
-from ofdmlink.equalizer import (LmsState, PilotLmsEstimator, equalize_pre_fft,
-                                lms_step)
+from ofdmlink.equalizer import PilotLmsEstimator, equalize_pre_fft
 from ofdmlink.errors import ConfigurationError, DivergenceError
 from ofdmlink.modem import constellation, map_bits
 from ofdmlink.ofdm import assemble, default_grid
 from ofdmlink.simcli import _MU_CANDIDATES
-from theory import instantaneous_covariance, windowed_mse
+from theory import (LmsState, instantaneous_covariance, lms_step,
+                    windowed_mse)
 
 GRID = default_grid()
 
@@ -325,9 +327,82 @@ def test_pre_fft_frozen_span_matches_per_sample_loop(n_rx, n_train, n_taps):
     out, trace = equalize_pre_fft(rx[:n_rx], tx[:n_train], n_taps, 3e-3)
     ref_out, ref_sq, ref_w = _reference_pre_fft(rx[:n_rx], tx[:n_train],
                                                 n_taps, 3e-3)
+    n_adapt = min(n_rx, n_train)
+    assert np.array_equal(out[:n_adapt], ref_out[:n_adapt])
     assert np.array_equal(trace.squared_errors, ref_sq)
     assert np.array_equal(trace.final_weights, ref_w)
     assert np.max(np.abs(out - ref_out)) < 1e-12
+
+
+def _outcome(equalizer, rx, training, n_taps, step_size):
+    """(out, squared errors, final weights), or the DivergenceError text."""
+    try:
+        out, sq, w = equalizer(rx, training, n_taps, step_size)
+    except DivergenceError as exc:
+        return str(exc)
+    return out[: min(len(rx), len(training))], sq, w
+
+
+def _kernel(rx, training, n_taps, step_size):
+    out, trace = equalize_pre_fft(rx, training, n_taps, step_size)
+    return out, trace.squared_errors, trace.final_weights
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_train", [320, 640, 1280, 1000])
+@pytest.mark.parametrize("mu", _MU_CANDIDATES)
+@pytest.mark.parametrize("n_taps", [1, 2, 11, 12, 320])
+def test_pre_fft_kernel_is_bit_equal_to_lms_step(n_taps, mu, n_train):
+    # spans of 1, 2 and 4 OFDM symbols and one that is not a whole number
+    # of symbols; the large step sizes diverge with 320 taps
+    tx, rx = _noisy_table_channel(n_train + 200, seed=n_taps)
+    got = _outcome(_kernel, rx, tx[:n_train], n_taps, mu)
+    expected = _outcome(_reference_pre_fft, rx, tx[:n_train], n_taps, mu)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_train, bad_update", [
+    (640, 100),  # first chunk, weights overflow to inf and nan after it
+    (640, 400),  # second chunk
+    (640, 640),  # the very last update
+    (1000, 1000),  # the last update of a partial chunk
+])
+def test_pre_fft_divergence_names_the_oracles_update(n_train, bad_update):
+    tx, rx = _noisy_table_channel(n_train, seed=bad_update)
+    training = tx.copy()
+    training[bad_update - 1] = 1e300  # e = 1e300 blows the weights up
+    with pytest.raises(DivergenceError) as oracle:
+        _reference_pre_fft(rx, training, 11, 1e-2)
+    with pytest.raises(DivergenceError) as kernel:
+        equalize_pre_fft(rx, training, 11, 1e-2)
+    assert oracle.value.step == bad_update
+    assert str(kernel.value) == str(oracle.value)
+
+
+def test_pre_fft_memory_stays_per_symbol():
+    # 100 training symbols at 320 taps; a weight history over the whole span
+    # would be 32 000 x 320 complex values, 164 MB
+    tx, rx = _noisy_table_channel(100 * 320 + 3200, seed=5)
+    tracemalloc.start()
+    try:
+        _, trace = equalize_pre_fft(rx, tx[: 100 * 320], 320, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.squared_errors) == 100 * 320
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("step_size", [0.0, -1e-3])
+def test_pre_fft_rejects_non_positive_step(step_size):
+    tx = np.ones(10, complex)
+    with pytest.raises(ConfigurationError, match="step size must be > 0"):
+        equalize_pre_fft(tx, tx, 3, step_size)
 
 
 @pytest.mark.parametrize("n_taps", [0, -1])

@@ -202,6 +202,32 @@ def test_bad_config_fails_before_any_point(tmp_path, capsys, command, line,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["ber-sweep", "lms-trace", "demo-audio",
+                                     "plot"])
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file"),
+    (b"\xffmodulation = qpsk\n", "can't decode byte 0xff"),
+], ids=["missing", "not-utf8"])
+def test_unreadable_input_fails_in_one_line(tmp_path, capsys, command,
+                                            content, message):
+    infile = tmp_path / "input"
+    if content is not None:
+        infile.write_bytes(content)
+    out_path = tmp_path / "out"
+    if command == "plot":
+        args = ["plot", "--in", str(infile), "--out", str(out_path)]
+    else:
+        args = [command, "--config", str(infile)]
+        if command != "demo-audio":
+            args += ["--out", str(out_path)]
+    assert cli.main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {infile}: ")
+    assert err.count("\n") == 1 and message in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["ber-sweep", "lms-trace", "demo-audio"])
 def test_rician_doppler_just_below_half_the_rate_runs(tmp_path, capsys,
                                                       command):
