@@ -58,6 +58,8 @@ def equalize_pre_fft(rx, training, n_taps, step_size):
     """
     rx = np.asarray(rx, dtype=np.complex128)
     training = np.asarray(training, dtype=np.complex128)
+    if len(rx) == 0:
+        raise ConfigurationError("rx is empty")
     if n_taps < 1:
         raise ConfigurationError(f"n_taps must be >= 1, got {n_taps}")
     if len(training) < n_taps:
@@ -135,10 +137,6 @@ class PilotLmsEstimator:
             0, len(freq_pilot) - 1)
         self._offset = np.maximum(
             freq_active - self._freq_pilot[self._interval], 0.0)
-
-    @property
-    def pilot_estimates(self):
-        return np.conj(self.weights)
 
     def update(self, pilot_rx, pilot_tx):
         """Update on one OFDM symbol's pilots, (n_pilot,), or on a batch of

@@ -125,8 +125,11 @@ class SimConfig:
     def code_rate(self):
         return 0.5 if self.coding == "cc_k7" else 1.0
 
-    def step_size_for(self, mode):
-        return self.lms_mu if self.lms_mu > 0 else _DEFAULT_MU[mode]
+    @property
+    def step_size(self):
+        """lms_mu, or the receiver's default if unset (None for the genie)."""
+        default = _DEFAULT_MU.get(self.receiver_mode)
+        return self.lms_mu if self.lms_mu > 0 else default
 
 
 def _check_training_span(cfg):
@@ -155,11 +158,20 @@ class BerPoint:
         return self.errors / self.bits
 
 
-_CONFIG_KEYS = {
-    "modulation", "channel", "coding", "receiver_mode", "snr_start_db",
-    "snr_stop_db", "snr_step_db", "n_bits", "seed", "k_factor", "doppler_hz",
-    "lms_taps", "lms_mu", "training_symbols",
+def _names(value):
+    return tuple(m.strip().lower() for m in value.split(",") if m.strip())
+
+
+# the parser of each config key that sets a SimConfig field ("modulation"
+# sets modulations); the snr_*_db keys, with their defaults, set snr_grid_db
+_FIELD_PARSERS = {
+    "modulation": _names, "channel": str.lower, "coding": str.lower,
+    "receiver_mode": str.lower, "n_bits": int, "seed": int, "lms_taps": int,
+    "training_symbols": int, "k_factor": float, "doppler_hz": float,
+    "lms_mu": float,
 }
+_SNR_DEFAULTS = {"snr_start_db": 0.0, "snr_stop_db": 50.0, "snr_step_db": 2.0}
+_CONFIG_KEYS = _FIELD_PARSERS.keys() | _SNR_DEFAULTS.keys()
 
 
 def parse_config(text):
@@ -176,33 +188,21 @@ def parse_config(text):
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value
 
-    def number(key, cast, default=None):
+    def parsed(key, parse):
         try:
-            return cast(raw[key]) if key in raw else default
+            return parse(raw[key])
         except ValueError:
             raise ConfigurationError(
-                f"{key}: cannot read {raw[key]!r} as {cast.__name__}") from None
+                f"{key}: cannot read {raw[key]!r} as {parse.__name__}") from None
 
-    kwargs = {}
-    if "modulation" in raw:
-        kwargs["modulations"] = tuple(
-            m.strip().lower() for m in raw["modulation"].split(",") if m.strip()
-        )
-    for key in ("channel", "coding", "receiver_mode"):
-        if key in raw:
-            kwargs[key] = raw[key].lower()
-    for key, cast in (("n_bits", int), ("seed", int), ("lms_taps", int),
-                      ("training_symbols", int), ("k_factor", float),
-                      ("doppler_hz", float), ("lms_mu", float)):
-        if key in raw:
-            kwargs[key] = number(key, cast)
-    start = number("snr_start_db", float, 0.0)
-    stop = number("snr_stop_db", float, 50.0)
-    step = number("snr_step_db", float, 2.0)
-    for key, value in (("snr_start_db", start), ("snr_stop_db", stop),
-                       ("snr_step_db", step)):
+    kwargs = {("modulations" if key == "modulation" else key): parsed(key, parse)
+              for key, parse in _FIELD_PARSERS.items() if key in raw}
+    bounds = {key: parsed(key, float) if key in raw else default
+              for key, default in _SNR_DEFAULTS.items()}
+    for key, value in bounds.items():
         if not math.isfinite(value):
             raise ConfigurationError(f"{key} must be finite, got {value}")
+    start, stop, step = bounds.values()
     if step <= 0:
         raise ConfigurationError("snr_step_db must be > 0")
     grid = []
@@ -270,15 +270,22 @@ def ebn0_from_esn0(esn0_db, bits_per_symbol, code_rate):
     return esn0_db - 10.0 * math.log10(bits_per_symbol * code_rate)
 
 
-def _source_bits(cfg, rng):
-    if cfg.source == "sine":
-        return generate_source(cfg.n_bits)
-    return rng.bits(cfg.n_bits)
+def _known_symbols(rng, n_frames, width, spec):
+    """(n_frames, width) symbols of spec from random bits drawn from rng."""
+    bits = rng.bits(n_frames * width * spec.bits_per_symbol)
+    return map_bits(bits, spec).reshape(n_frames, width)
 
 
-def _channel_response(taps, grid):
-    """Frequency response on every FFT bin from taps of shape (..., n_taps)."""
-    return fft(taps, grid.fft_size)
+def _transmit(payload, n_train, known_pilots, spec, grid, rng):
+    """The transmitter: n_train known training frames drawn from rng, then
+    the payload frames, each with a pilot comb of ones (with known_pilots,
+    of known symbols drawn next), as one sample stream: (flat, pilots)."""
+    frames = np.vstack(
+        [_known_symbols(rng, n_train, payload.shape[1], spec), payload])
+    shape = (len(frames), len(grid.pilot_bins))
+    pilots = (_known_symbols(rng, *shape, spec) if known_pilots
+              else np.ones(shape, dtype=np.complex128))
+    return assemble(frames, pilots, grid).ravel(), pilots
 
 
 def _through_channel(cfg, flat, snr_db, grid, rng):
@@ -309,63 +316,44 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
     grid = default_grid()
     rng = RngStream(cfg.seed, stream_id)
 
-    info_bits = _source_bits(cfg, rng)
+    info_bits = (generate_source(cfg.n_bits) if cfg.source == "sine"
+                 else rng.bits(cfg.n_bits))
     coded = conv_encode(info_bits) if cfg.coding == "cc_k7" else info_bits
     k = spec.bits_per_symbol
-    pad_bits = (-len(coded)) % k
-    tx_bits = np.concatenate([coded, np.zeros(pad_bits, dtype=np.uint8)])
+    tx_bits = np.concatenate([coded, np.zeros(-len(coded) % k, dtype=np.uint8)])
     symbols = map_bits(tx_bits, spec)
-
     n_data = len(grid.data_bins)
-    pad_syms = (-len(symbols)) % n_data
     payload = np.concatenate(
-        [symbols, np.zeros(pad_syms, dtype=np.complex128)]
+        [symbols, np.zeros(-len(symbols) % n_data, dtype=np.complex128)]
     ).reshape(-1, n_data)
 
-    adaptive = cfg.receiver_mode in ("pre_fft_lms", "pilot_fd_lms")
-    n_train = cfg.training_symbols if adaptive else 0
-    if n_train:
-        train_bits = rng.bits(n_train * n_data * k)
-        train_frames = map_bits(train_bits, spec).reshape(n_train, n_data)
-        frames = np.vstack([train_frames, payload])
-    else:
-        frames = payload
-    n_frames = frames.shape[0]
-    n_pilot = len(grid.pilot_bins)
-    if cfg.receiver_mode == "pre_fft_lms":
-        # the time-domain equalizer never reads the pilot comb; known random
-        # symbols there keep the regressor free of a deterministic component
-        pilots = map_bits(rng.bits(n_frames * n_pilot * k), spec)
-        pilots = pilots.reshape(n_frames, n_pilot)
-    else:
-        pilots = np.ones((n_frames, n_pilot), dtype=np.complex128)
-    flat = assemble(frames, pilots, grid).ravel()
+    mode = cfg.receiver_mode
+    n_train = cfg.training_symbols if mode != "known_channel_zf" else 0
+    # the time-domain equalizer never reads the pilot comb; known random
+    # symbols there keep the regressor free of a deterministic component
+    flat, pilots = _transmit(payload, n_train, mode == "pre_fft_lms", spec,
+                             grid, rng)
+    n_frames = len(pilots)
 
     rx, taps = _through_channel(cfg, flat, snr_db, grid, rng)
-    if cfg.receiver_mode == "pre_fft_lms":
+    if mode == "pre_fft_lms":
         training_time = flat[: n_train * grid.symbol_len]
-        mu = cfg.step_size_for("pre_fft_lms")
-        rx, _ = equalize_pre_fft(rx, training_time, cfg.lms_taps, mu)
+        rx, _ = equalize_pre_fft(rx, training_time, cfg.lms_taps, cfg.step_size)
     data_rx, pilot_rx = disassemble(rx.reshape(n_frames, grid.symbol_len), grid)
     data_vals = data_rx[n_train:]
-    if cfg.receiver_mode == "pilot_fd_lms":
-        est = PilotLmsEstimator(grid, cfg.step_size_for("pilot_fd_lms"))
-        h_active = est.update(pilot_rx, pilots)
+    if mode == "pilot_fd_lms":
+        h_active = PilotLmsEstimator(grid, cfg.step_size).update(pilot_rx, pilots)
         data_vals = equalize_one_tap(
             data_vals, h_active[n_train:, grid.data_positions])
-    elif cfg.receiver_mode == "known_channel_zf":
+    elif mode == "known_channel_zf":
         if taps.ndim == 2:  # per-frame mean of the Rician trajectories
             taps = taps.reshape(len(taps), n_frames, grid.symbol_len)
             taps = taps.mean(axis=2).T
         data_vals = equalize_one_tap(
-            data_vals, _channel_response(taps, grid)[..., grid.data_bins])
+            data_vals, fft(taps, grid.fft_size)[..., grid.data_bins])
 
-    rx_symbols = data_vals.ravel()
-    if pad_syms:
-        rx_symbols = rx_symbols[:-pad_syms]
-    rx_bits = demap_hard(rx_symbols, spec)
-    if pad_bits:
-        rx_bits = rx_bits[:-pad_bits]
+    # the pad symbols and pad bits carry no information
+    rx_bits = demap_hard(data_vals.ravel()[: len(symbols)], spec)[: len(coded)]
     if cfg.coding == "cc_k7":
         rx_bits = viterbi_decode(rx_bits)
     errors = int(np.count_nonzero(rx_bits != info_bits))
@@ -408,13 +396,8 @@ def run_lms_trace(cfg):
     spec = constellation(cfg.modulations[0])
     grid = default_grid()
     rng = RngStream(cfg.seed, 0)
-    n_data = len(grid.data_bins)
-    k = spec.bits_per_symbol
-    n_train = cfg.training_symbols
-    frames = map_bits(rng.bits(n_train * n_data * k), spec).reshape(n_train, n_data)
-    n_pilot = len(grid.pilot_bins)
-    pilots = map_bits(rng.bits(n_train * n_pilot * k), spec).reshape(n_train, n_pilot)
-    flat = assemble(frames, pilots, grid).ravel()
+    no_payload = np.empty((0, len(grid.data_bins)), dtype=np.complex128)
+    flat, _ = _transmit(no_payload, cfg.training_symbols, True, spec, grid, rng)
     rx, _ = _through_channel(cfg, flat, cfg.snr_grid_db[0], grid, rng)
     # error power of the unadapted (zero-weight) equalizer, i.e. the
     # reference level the converged MSE is compared against
@@ -499,6 +482,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#17becf")
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
+# a CSV read back by `sim plot` may put any text in the legend
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def emit_plot(points, path):
@@ -606,7 +591,7 @@ def emit_plot(points, path):
                     f'L {x:.2f} {y + 4:.2f} L {x - 4:.2f} {y:.2f} Z" '
                     f'fill="none" stroke="{color}" stroke-width="1.5"/>'
                 )
-        label = "/".join(key)
+        label = "/".join(key).translate(_XML_ESCAPES)
         out.append(
             f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 16 * idx}" '
             f'text-anchor="end" font-size="12" font-family="sans-serif" '

@@ -189,7 +189,7 @@ def test_pilot_estimator_one_step_mu_one():
     pilot_rx = rng.normal(size=25) + 1j * rng.normal(size=25)
     pilot_tx = np.ones(25, complex)
     est.update(pilot_rx, pilot_tx)
-    assert np.max(np.abs(est.pilot_estimates - pilot_rx / pilot_tx)) < 1e-12
+    assert np.max(np.abs(np.conj(est.weights) - pilot_rx / pilot_tx)) < 1e-12
 
 
 def test_pilot_estimator_static_table_channel():
@@ -202,7 +202,7 @@ def test_pilot_estimator_static_table_channel():
     for _ in range(40):
         h_active = est.update(h_true[GRID.pilot_bins] * pilot_tx, pilot_tx)
     # fixed point exact at the pilot bins
-    assert np.max(np.abs(est.pilot_estimates - h_true[GRID.pilot_bins])) < 1e-3
+    assert np.max(np.abs(np.conj(est.weights) - h_true[GRID.pilot_bins])) < 1e-3
     # interpolation bias small on pilot-covered data bins; the few edge bins
     # extended by the nearest pilot value carry a larger, bounded error
     h_data = h_active[GRID.data_positions]
@@ -243,7 +243,7 @@ def test_update_interpolates_like_np_interp(unit_tx):
     for rx, tx in zip(pilot_rx, pilot_tx):
         h_active = est.update(rx, tx)
         assert np.array_equal(h_active,
-                              _np_interp_estimate(est.pilot_estimates, GRID))
+                              _np_interp_estimate(np.conj(est.weights), GRID))
 
 
 @pytest.mark.parametrize("n_frames, unit_tx", [(1, True), (254, True),
@@ -403,6 +403,12 @@ def test_pre_fft_rejects_non_positive_step(step_size):
     tx = np.ones(10, complex)
     with pytest.raises(ConfigurationError, match="step size must be > 0"):
         equalize_pre_fft(tx, tx, 3, step_size)
+
+
+@pytest.mark.parametrize("n_taps", [1, 11])
+def test_pre_fft_rejects_empty_rx(n_taps):
+    with pytest.raises(ConfigurationError, match="rx is empty"):
+        equalize_pre_fft(np.empty(0), np.ones(20, complex), n_taps, 1e-2)
 
 
 @pytest.mark.parametrize("n_taps", [0, -1])

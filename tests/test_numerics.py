@@ -83,6 +83,14 @@ def test_rng_determinism():
     assert np.array_equal(a, b)
 
 
+def test_empty_draw_leaves_the_stream_unchanged():
+    # the link's transmitter draws zero training bits for the genie receiver
+    a, b = RngStream(5, 2), RngStream(5, 2)
+    assert a.bits(0).size == 0
+    assert np.array_equal(a.bits(1000), b.bits(1000))
+    assert np.array_equal(a.normal(10), b.normal(10))
+
+
 def test_gaussian_moments():
     z = RngStream(7, 0).normal(1_000_000)
     assert abs(z.mean()) < 0.005

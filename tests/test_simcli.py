@@ -1,5 +1,6 @@
 import hashlib
 import math
+import xml.dom.minidom
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from ofdmlink.ofdm import default_grid, equalize_one_tap
 from ofdmlink.simcli import (BerPoint, SimConfig, ebn0_from_esn0, emit_plot,
                              generate_source, parse_config, read_csv,
                              reconstruct_sine, run_lms_trace, run_point,
-                             run_sweep, _channel_response)
+                             run_sweep)
 from theory import binomial_ci, q_function
 
 
@@ -332,9 +333,9 @@ def test_batched_rician_zf_matches_per_frame_loop():
     data_rx = rng.normal(size=(n_frames, len(grid.data_bins))) + 0j
     expected = np.empty_like(data_rx)
     for i in range(n_frames):
-        h_data = _channel_response(frame_taps[i], grid)[grid.data_bins]
+        h_data = np.fft.fft(frame_taps[i], grid.fft_size)[grid.data_bins]
         expected[i] = equalize_one_tap(data_rx[i], h_data)
-    h_data = _channel_response(frame_taps, grid)[..., grid.data_bins]
+    h_data = np.fft.fft(frame_taps, grid.fft_size)[..., grid.data_bins]
     assert np.array_equal(equalize_one_tap(data_rx, h_data), expected)
 
 
@@ -381,7 +382,7 @@ def test_batched_pilot_division_matches_per_frame_loop(monkeypatch):
     # oracle below updates frame by frame on (n_pilot,) vectors
     assert update_shapes == [pilot_rx.shape]
     expected = _pilot_receiver_loop(data_rx, pilot_rx, default_grid(),
-                                    cfg.step_size_for("pilot_fd_lms"),
+                                    cfg.step_size,
                                     cfg.training_symbols).ravel()
     symbols = captured["symbols"]
     assert np.array_equal(symbols, expected[: len(symbols)])
@@ -389,7 +390,7 @@ def test_batched_pilot_division_matches_per_frame_loop(monkeypatch):
 
 def test_awgn_zero_forcing_divides_by_exactly_one():
     grid = default_grid()
-    h = _channel_response(np.ones(1, dtype=np.complex128), grid)
+    h = np.fft.fft(np.ones(1, dtype=np.complex128), grid.fft_size)
     assert np.array_equal(h, np.ones(grid.fft_size, dtype=np.complex128))
 
 
@@ -464,6 +465,50 @@ def test_run_point_matches_qpsk_theory():
     assert lo <= point.ber <= hi
 
 
+_RECEIVERS = ("known_channel_zf", "pilot_fd_lms", "pre_fft_lms")
+
+
+@pytest.mark.parametrize("channel", ["awgn", "static", "rician"])
+@pytest.mark.parametrize("receiver", _RECEIVERS)
+def test_sweep_points_equal_single_point_calls(receiver, channel):
+    # a sweep may batch its points, but each must stay the point that
+    # run_point gives on the stream of its index
+    cfg = SimConfig(modulations=("qpsk", "16qam"), channel=channel,
+                    receiver_mode=receiver, snr_grid_db=(4.0, 12.0, 30.0),
+                    n_bits=800)
+    jobs = [(mod, snr) for mod in cfg.modulations for snr in cfg.snr_grid_db]
+    expected = [run_point(cfg, snr, mod, stream_id=i)
+                for i, (mod, snr) in enumerate(jobs)]
+    assert run_sweep(cfg) == expected
+
+
+# the modulations README's noiseless table (and, for the genie receiver,
+# test_noiseless_point_is_error_free) gives zero errors at the defaults
+_ERROR_FREE_AT_DEFAULTS = {
+    "known_channel_zf": ("qpsk", "16qam", "64qam", "256qam"),
+    "pilot_fd_lms": ("qpsk", "16qam", "64qam"),
+    "pre_fft_lms": ("qpsk",),
+}
+
+
+@pytest.mark.parametrize("receiver", _RECEIVERS)
+def test_sine_source_sweep(receiver, monkeypatch):
+    sources = []
+    real = simcli.generate_source
+    monkeypatch.setattr(simcli, "generate_source",
+                        lambda n: sources.append(n) or real(n))
+    mods = ("qpsk", "16qam", "64qam", "256qam")
+    cfg = SimConfig(modulations=mods, receiver_mode=receiver,
+                    snr_grid_db=(40.0,), n_bits=4000, source="sine")
+    points = run_sweep(cfg)
+    assert sources == [4000] * len(mods)
+    assert [(p.modulation, p.bits) for p in points] == \
+        [(mod, 4000) for mod in mods]
+    for p in points:
+        if p.modulation in _ERROR_FREE_AT_DEFAULTS[receiver]:
+            assert p.errors == 0, p.modulation
+
+
 def test_sweep_csv_determinism(tmp_path):
     cfg = SimConfig(n_bits=4000, snr_grid_db=(0.0, 6.0))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -510,6 +555,18 @@ def test_plot_structure(tmp_path):
     assert svg.count("<path d=") == 1
     emit_plot(points, tmp_path / "again.svg")
     assert (tmp_path / "again.svg").read_bytes() == path.read_bytes()
+
+
+def test_plot_escapes_legend_text(tmp_path, capsys):
+    csv = tmp_path / "points.csv"
+    row = "q&a<b,x>y,none,known_channel_zf,0,-3,100,3,0.03,1"
+    csv.write_text(simcli.CSV_HEADER + "\n" + row + "\n")
+    svg = tmp_path / "curves.svg"
+    assert cli.main(["plot", "--in", str(csv), "--out", str(svg)]) == 0
+    assert capsys.readouterr().err == ""
+    text = svg.read_text()
+    xml.dom.minidom.parseString(text)  # raises unless well-formed
+    assert ">q&amp;a&lt;b/x&gt;y/none</text>" in text
 
 
 def test_plot_floor_rule():
