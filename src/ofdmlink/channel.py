@@ -121,7 +121,10 @@ def rician_taps(cfg, n_samples, rng):
     doppler_norm = cfg.doppler_hz / SAMPLE_RATE_HZ
     g = np.array([_jakes_process(n_samples, doppler_norm, rng)
                   for _ in UNIT_TAPS])
-    return ChannelRealization(np.abs(UNIT_TAPS)[:, None] * (los + diffuse * g))
+    g *= diffuse  # |taps| * (los + diffuse * g), the same bits, in place
+    g += los
+    g *= np.abs(UNIT_TAPS)[:, None]
+    return ChannelRealization(g)
 
 
 def apply_fading(signal, realization):

@@ -1,11 +1,9 @@
-"""Command-line entry point: ber-sweep, demo-audio, lms-trace, plot."""
+"""Command-line entry point: ber-sweep (random or sine source), lms-trace, plot."""
 
 import argparse
 import os
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from . import simcli
 from .errors import SimError
@@ -26,9 +24,6 @@ def build_parser():
     _add_config_arg(p)
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", default=".", help="output directory")
-
-    p = sub.add_parser("demo-audio", help="send the 1 kHz PCM sine end to end")
-    _add_config_arg(p)
 
     p = sub.add_parser("lms-trace", help="write the per-step |e|^2 trace CSV")
     _add_config_arg(p)
@@ -55,17 +50,6 @@ def cmd_ber_sweep(args):
     print(f"wrote {csv_path} and {svg_path}")
 
 
-def cmd_demo_audio(args):
-    cfg = simcli.load_config(args.config)
-    cfg = replace(cfg, source="sine")
-    point = simcli.run_point(cfg, cfg.snr_grid_db[0])
-    print(f"demo-audio: {point.modulation} over {point.channel} at "
-          f"snr={point.snr_db:g} dB -> ber={point.ber:.6g} "
-          f"({point.errors}/{point.bits})")
-    original = simcli.reconstruct_sine(simcli.generate_source(cfg.n_bits))
-    print(f"first waveform samples: {np.round(original[:8], 4).tolist()}")
-
-
 def cmd_lms_trace(args):
     cfg = simcli.load_config(args.config)
     trace, mu, initial_mse = simcli.run_lms_trace(cfg)
@@ -85,8 +69,6 @@ def main(argv=None):
     try:
         if args.command == "ber-sweep":
             cmd_ber_sweep(args)
-        elif args.command == "demo-audio":
-            cmd_demo_audio(args)
         elif args.command == "lms-trace":
             cmd_lms_trace(args)
         else:

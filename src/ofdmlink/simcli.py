@@ -35,7 +35,6 @@ __all__ = [
     "parse_config",
     "load_config",
     "generate_source",
-    "reconstruct_sine",
     "ebn0_from_esn0",
     "run_point",
     "run_sweep",
@@ -53,9 +52,6 @@ _PCM_BITS = 8
 _SINE_HZ = 1000.0
 _SAMPLE_HZ = 4000.0
 
-# step sizes that behave well for each adaptive receiver, used when the
-# config leaves lms_mu unset
-_DEFAULT_MU = {"pilot_fd_lms": 0.5, "pre_fft_lms": 3e-3}
 # the step sizes lms-trace tries when lms_mu is unset, ranked by the mean
 # squared error over the last MSE_WINDOW training steps
 _MU_CANDIDATES = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
@@ -91,8 +87,7 @@ class SimConfig:
         ChannelConfig(self.channel, self.k_factor, self.doppler_hz)
         if self.coding not in ("none", "cc_k7"):
             raise ConfigurationError(f"unknown coding {self.coding!r}")
-        if self.receiver_mode not in ("pre_fft_lms", "pilot_fd_lms",
-                                      "known_channel_zf"):
+        if self.receiver_mode not in _RECEIVERS:
             raise ConfigurationError(
                 f"unknown receiver_mode {self.receiver_mode!r}")
         if not self.modulations:
@@ -108,13 +103,16 @@ class SimConfig:
             if not lo <= value <= hi:
                 raise ConfigurationError(
                     f"{name} must be in {lo}..{hi}, got {value}")
-        if self.receiver_mode == "pre_fft_lms":
+        if _RECEIVERS[self.receiver_mode].time_domain:
             _check_training_span(self)
         if not (math.isfinite(self.lms_mu) and self.lms_mu >= 0):
             raise ConfigurationError(
                 f"lms_mu must be finite and >= 0, got {self.lms_mu}")
         if self.source not in ("random", "sine"):
             raise ConfigurationError(f"unknown source {self.source!r}")
+        if self.source == "sine" and self.n_bits % _PCM_BITS:
+            raise ConfigurationError(
+                f"sine source: n_bits {self.n_bits} is not a multiple of 8")
         if not self.snr_grid_db:
             raise ConfigurationError("empty SNR grid")
         for s in self.snr_grid_db:
@@ -128,7 +126,7 @@ class SimConfig:
     @property
     def step_size(self):
         """lms_mu, or the receiver's default if unset (None for the genie)."""
-        default = _DEFAULT_MU.get(self.receiver_mode)
+        default = _RECEIVERS[self.receiver_mode].default_mu
         return self.lms_mu if self.lms_mu > 0 else default
 
 
@@ -168,7 +166,7 @@ _FIELD_PARSERS = {
     "modulation": _names, "channel": str.lower, "coding": str.lower,
     "receiver_mode": str.lower, "n_bits": int, "seed": int, "lms_taps": int,
     "training_symbols": int, "k_factor": float, "doppler_hz": float,
-    "lms_mu": float,
+    "lms_mu": float, "source": str.lower,
 }
 _SNR_DEFAULTS = {"snr_start_db": 0.0, "snr_stop_db": 50.0, "snr_step_db": 2.0}
 _CONFIG_KEYS = _FIELD_PARSERS.keys() | _SNR_DEFAULTS.keys()
@@ -250,17 +248,6 @@ def generate_source(n_bits):
     return np.unpackbits(codes.reshape(-1, 1), axis=1).ravel()
 
 
-def reconstruct_sine(bits):
-    """Invert generate_source: bits back to the quantized waveform."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if len(bits) % _PCM_BITS != 0:
-        raise ConfigurationError("bit count must be a multiple of 8")
-    codes = np.packbits(bits.reshape(-1, _PCM_BITS), axis=1).ravel()
-    pcm = codes.astype(np.int64)
-    pcm[pcm >= 128] -= 256
-    return pcm / 127.0
-
-
 def ebn0_from_esn0(esn0_db, bits_per_symbol, code_rate):
     """Per-bit SNR from per-symbol SNR: subtract 10 log10(k * r)."""
     if bits_per_symbol < 1:
@@ -292,9 +279,10 @@ def _through_channel(cfg, flat, snr_db, grid, rng):
     """Pass the transmitted samples through cfg.channel, then add AWGN.
 
     snr_db is realized as Es/N0 per active subcarrier: the time-domain noise
-    is scaled by the FFT-size/active duty factor.  Returns ``(rx, taps)``:
-    the static taps (n_taps,), the single unit tap on AWGN, or the per-sample
-    Rician trajectories (n_taps, n_samples).
+    is scaled by the FFT-size/active duty factor.  Returns ``(rx, taps)``
+    with the true taps: the static ones, the unit tap on AWGN, or per frame
+    the mean of the Rician trajectories (n_frames, n_taps), so that the
+    (n_taps, n_samples) trajectories do not outlive this stage.
     """
     if cfg.channel == "awgn":
         rx, taps = flat, np.ones(1, dtype=np.complex128)
@@ -303,10 +291,51 @@ def _through_channel(cfg, flat, snr_db, grid, rng):
     else:
         chan = ChannelConfig(cfg.channel, cfg.k_factor, cfg.doppler_hz)
         realization = rician_taps(chan, flat.size, rng)
-        rx, taps = apply_fading(flat, realization), realization.tap_trajectories
+        rx, traj = apply_fading(flat, realization), realization.tap_trajectories
+        taps = traj.reshape(len(traj), -1, grid.symbol_len).mean(axis=2).T
     signal_power = float(np.mean(np.abs(flat) ** 2))
     duty = grid.fft_size / grid.n_active
     return add_awgn(rx, snr_db, signal_power * duty, rng), taps
+
+
+def _known_channel_zf(cfg, rx, flat, pilots, taps, n_train, grid):
+    """Genie one-tap zero forcing by the true response of each frame."""
+    data_rx, _ = disassemble(rx.reshape(len(pilots), -1), grid)
+    return equalize_one_tap(data_rx, fft(taps, grid.fft_size)[..., grid.data_bins])
+
+
+def _pilot_fd_lms(cfg, rx, flat, pilots, taps, n_train, grid):
+    """One-tap equalization by the LMS-tracked, interpolated pilot response."""
+    data_rx, pilot_rx = disassemble(rx.reshape(len(pilots), -1), grid)
+    h_active = PilotLmsEstimator(grid, cfg.step_size).update(pilot_rx, pilots)
+    return equalize_one_tap(data_rx[n_train:],
+                            h_active[n_train:, grid.data_positions])
+
+
+def _pre_fft_lms(cfg, rx, flat, pilots, taps, n_train, grid):
+    """Time-domain LMS trained on the leading known frames, then the FFT."""
+    training_time = flat[: n_train * grid.symbol_len]
+    rx, _ = equalize_pre_fft(rx, training_time, cfg.lms_taps, cfg.step_size)
+    data_rx, _ = disassemble(rx.reshape(len(pilots), -1), grid)
+    return data_rx[n_train:]
+
+
+@dataclass(frozen=True)
+class _Receiver:
+    """A receiver as run_point sees it.  equalize(cfg, rx, flat, pilots, taps,
+    n_train, grid) returns the data-bin values; it calls the chain's stages
+    through this module's globals, so that a tracer's wrappers see them."""
+    trains: bool  # leads with cfg.training_symbols known frames
+    time_domain: bool  # equalizes samples: known pilots, a training span
+    default_mu: float | None  # the step size when lms_mu is unset
+    equalize: object
+
+
+_RECEIVERS = {
+    "known_channel_zf": _Receiver(False, False, None, _known_channel_zf),
+    "pilot_fd_lms": _Receiver(True, False, 0.5, _pilot_fd_lms),
+    "pre_fft_lms": _Receiver(True, True, 3e-3, _pre_fft_lms),
+}
 
 
 def run_point(cfg, snr_db, modulation=None, stream_id=0):
@@ -328,29 +357,14 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
     ).reshape(-1, n_data)
 
     mode = cfg.receiver_mode
-    n_train = cfg.training_symbols if mode != "known_channel_zf" else 0
+    receiver = _RECEIVERS[mode]
+    n_train = cfg.training_symbols if receiver.trains else 0
     # the time-domain equalizer never reads the pilot comb; known random
     # symbols there keep the regressor free of a deterministic component
-    flat, pilots = _transmit(payload, n_train, mode == "pre_fft_lms", spec,
+    flat, pilots = _transmit(payload, n_train, receiver.time_domain, spec,
                              grid, rng)
-    n_frames = len(pilots)
-
     rx, taps = _through_channel(cfg, flat, snr_db, grid, rng)
-    if mode == "pre_fft_lms":
-        training_time = flat[: n_train * grid.symbol_len]
-        rx, _ = equalize_pre_fft(rx, training_time, cfg.lms_taps, cfg.step_size)
-    data_rx, pilot_rx = disassemble(rx.reshape(n_frames, grid.symbol_len), grid)
-    data_vals = data_rx[n_train:]
-    if mode == "pilot_fd_lms":
-        h_active = PilotLmsEstimator(grid, cfg.step_size).update(pilot_rx, pilots)
-        data_vals = equalize_one_tap(
-            data_vals, h_active[n_train:, grid.data_positions])
-    elif mode == "known_channel_zf":
-        if taps.ndim == 2:  # per-frame mean of the Rician trajectories
-            taps = taps.reshape(len(taps), n_frames, grid.symbol_len)
-            taps = taps.mean(axis=2).T
-        data_vals = equalize_one_tap(
-            data_vals, fft(taps, grid.fft_size)[..., grid.data_bins])
+    data_vals = receiver.equalize(cfg, rx, flat, pilots, taps, n_train, grid)
 
     # the pad symbols and pad bits carry no information
     rx_bits = demap_hard(data_vals.ravel()[: len(symbols)], spec)[: len(coded)]
@@ -360,7 +374,7 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
 
     return BerPoint(
         modulation=modulation, channel=cfg.channel, coding=cfg.coding,
-        receiver_mode=cfg.receiver_mode, snr_db=float(snr_db),
+        receiver_mode=mode, snr_db=float(snr_db),
         ebn0_db=ebn0_from_esn0(snr_db, k, cfg.code_rate),
         bits=len(info_bits), errors=errors, seed=cfg.seed,
     )

@@ -185,6 +185,23 @@ def test_realization_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("k_factor, doppler_hz", [(3.0, 100.0), (0.0, 40.0),
+                                                  (10.0, 0.0)])
+def test_rician_taps_scale_bit_for_bit(k_factor, doppler_hz):
+    # rician_taps scales the Jakes processes in place; the bits must be those
+    # of the expression |taps| * (los + diffuse * g)
+    cfg = ChannelConfig(kind="rician", k_factor=k_factor,
+                        doppler_hz=doppler_hz)
+    got = rician_taps(cfg, 44_800, RngStream(14, 1)).tap_trajectories
+    rng = RngStream(14, 1)
+    g = np.array([_jakes_process(44_800, doppler_hz / 4000.0, rng)
+                  for _ in UNIT_TAPS])
+    los = np.sqrt(k_factor / (k_factor + 1.0))
+    diffuse = np.sqrt(1.0 / (k_factor + 1.0))
+    expected = np.abs(UNIT_TAPS)[:, None] * (los + diffuse * g)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def _jakes_direct_sum(n_samples, doppler_norm, rng):
     """The n x 32 sum of sinusoids, one exponential per (sample, sinusoid)."""
     alpha = rng.uniform(32) * 2 * np.pi

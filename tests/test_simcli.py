@@ -15,9 +15,8 @@ from ofdmlink.numerics import RngStream
 from ofdmlink.ofdm import default_grid, equalize_one_tap
 from ofdmlink.simcli import (BerPoint, SimConfig, ebn0_from_esn0, emit_plot,
                              generate_source, parse_config, read_csv,
-                             reconstruct_sine, run_lms_trace, run_point,
-                             run_sweep)
-from theory import binomial_ci, q_function
+                             run_lms_trace, run_point, run_sweep)
+from theory import binomial_ci, q_function, reconstruct_sine
 
 
 def test_source_quarter_period_samples():
@@ -160,7 +159,15 @@ def test_config_has_no_normalize_taps_key():
         parse_config("normalize_taps = true")
 
 
-@pytest.mark.parametrize("command", ["ber-sweep", "lms-trace", "demo-audio"])
+# each command that reads a config; the sine source runs through ber-sweep
+_CONFIG_COMMANDS = [
+    pytest.param("ber-sweep", "", id="ber-sweep"),
+    pytest.param("lms-trace", "", id="lms-trace"),
+    pytest.param("ber-sweep", "source = sine\n", id="ber-sweep-sine"),
+]
+
+
+@pytest.mark.parametrize("command, source_line", _CONFIG_COMMANDS)
 @pytest.mark.parametrize("line, message", [
     ("modulation = ,", "no modulation"),
     ("modulation = qpsk, bogus", "unknown modulation 'bogus'"),
@@ -187,14 +194,17 @@ def test_config_has_no_normalize_taps_key():
     ("channel = rayleigh", "unknown channel 'rayleigh'"),
     ("channel = rician\ndoppler_hz = 2000",
      "doppler_hz 2000 must be below 2000 Hz, half the 4000 Hz sample rate"),
+    ("receiver_mode = mmse", "unknown receiver_mode 'mmse'"),
+    ("coding = turbo", "unknown coding 'turbo'"),
+    ("source = wav", "unknown source 'wav'"),
+    ("source = sine\nn_bits = 44001",
+     "sine source: n_bits 44001 is not a multiple of 8"),
 ])
-def test_bad_config_fails_before_any_point(tmp_path, capsys, command, line,
-                                           message):
+def test_bad_config_fails_before_any_point(tmp_path, capsys, command,
+                                           source_line, line, message):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
-    args = [command, "--config", str(cfg)]
-    if command != "demo-audio":
-        args += ["--out", str(tmp_path / "out")]
+    cfg.write_text(source_line + line + "\n")
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
     assert cli.main(args) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -203,24 +213,22 @@ def test_bad_config_fails_before_any_point(tmp_path, capsys, command, line,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["ber-sweep", "lms-trace", "demo-audio",
-                                     "plot"])
+@pytest.mark.parametrize("command, source_line",
+                         _CONFIG_COMMANDS + [pytest.param("plot", "", id="plot")])
 @pytest.mark.parametrize("content, message", [
     (None, "No such file"),
     (b"\xffmodulation = qpsk\n", "can't decode byte 0xff"),
 ], ids=["missing", "not-utf8"])
 def test_unreadable_input_fails_in_one_line(tmp_path, capsys, command,
-                                            content, message):
+                                            source_line, content, message):
     infile = tmp_path / "input"
     if content is not None:
-        infile.write_bytes(content)
+        infile.write_bytes(source_line.encode() + content)
     out_path = tmp_path / "out"
     if command == "plot":
         args = ["plot", "--in", str(infile), "--out", str(out_path)]
     else:
-        args = [command, "--config", str(infile)]
-        if command != "demo-audio":
-            args += ["--out", str(out_path)]
+        args = [command, "--config", str(infile), "--out", str(out_path)]
     assert cli.main(args) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -229,15 +237,14 @@ def test_unreadable_input_fails_in_one_line(tmp_path, capsys, command,
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("command", ["ber-sweep", "lms-trace", "demo-audio"])
+@pytest.mark.parametrize("command, source_line", _CONFIG_COMMANDS)
 def test_rician_doppler_just_below_half_the_rate_runs(tmp_path, capsys,
-                                                      command):
+                                                      command, source_line):
     cfg = tmp_path / "fast.cfg"
-    cfg.write_text("channel = rician\ndoppler_hz = 1999.9\nn_bits = 800\n"
+    cfg.write_text(source_line +
+                   "channel = rician\ndoppler_hz = 1999.9\nn_bits = 800\n"
                    "snr_start_db = 20\nsnr_stop_db = 20\n")
-    args = [command, "--config", str(cfg)]
-    if command != "demo-audio":
-        args += ["--out", str(tmp_path / "out")]
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
     assert cli.main(args) == 0
     assert capsys.readouterr().err == ""
 
@@ -416,6 +423,41 @@ def test_rician_point_counts_pinned(receiver, modulation):
     assert counts == RICIAN_COUNTS[receiver, modulation]
 
 
+@pytest.mark.parametrize("modulation", ["qpsk", "16qam", "64qam"])
+def test_rician_without_doppler_is_ici_free(modulation):
+    # without Doppler the taps hold still, so the genie's frame-mean
+    # response is exact and a noiseless point decodes; at 100 Hz they move
+    # within a symbol and the ICI floor shows (520, 1419 and 2112 errors
+    # in 8000 bits at these orders on stream 1)
+    errors = {}
+    for doppler_hz in (0.0, 100.0):
+        cfg = SimConfig(modulations=(modulation,), channel="rician",
+                        doppler_hz=doppler_hz, n_bits=8000)
+        errors[doppler_hz] = run_point(cfg, 300.0, stream_id=1).errors
+    assert errors[0.0] == 0
+    assert errors[100.0] > 0
+
+
+# QPSK errors in 44 000 bits on stream 1, ZF(s) / pilot(s) / ZF(s - 1.25):
+# 2423 / 2959 / 3259 at 6 dB, 716 / 872 / 1125 at 10, 80 / 136 / 200 at 14
+@pytest.mark.parametrize("snr_db", [6.0, 10.0, 14.0])
+def test_pilot_receiver_within_its_estimate_noise_of_the_genie(snr_db):
+    # the mu = 0.5 pilot tracker adds estimate noise of mu / (2 - mu) = 1/3
+    # of the noise variance at each pilot, which costs at most
+    # 10 log10(4/3) = 1.25 dB: it neither beats the genie at the same SNR
+    # nor loses to the genie 1.25 dB lower
+    def errors_and_bits(receiver, snr):
+        cfg = SimConfig(channel="static", receiver_mode=receiver)
+        point = run_point(cfg, snr, stream_id=1)
+        return point.errors, point.bits
+
+    zf_lo, _ = binomial_ci(*errors_and_bits("known_channel_zf", snr_db), 3)
+    _, zf_worse_hi = binomial_ci(
+        *errors_and_bits("known_channel_zf", snr_db - 1.25), 3)
+    errors, bits = errors_and_bits("pilot_fd_lms", snr_db)
+    assert zf_lo <= errors / bits <= zf_worse_hi
+
+
 def test_run_point_deterministic():
     cfg = SimConfig(n_bits=8000)
     assert run_point(cfg, 6.0) == run_point(cfg, 6.0)
@@ -588,7 +630,15 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert (out / "curves.svg").exists()
     assert cli.main(["plot", "--in", str(out / "points.csv"),
                      "--out", str(tmp_path / "replot.svg")]) == 0
-    assert cli.main(["demo-audio", "--config", str(cfg)]) == 0
+    sine_cfg = tmp_path / "sine.cfg"
+    sine_cfg.write_text(cfg.read_text() + "source = sine\n")
+    assert cli.main(["ber-sweep", "--config", str(sine_cfg),
+                     "--out", str(tmp_path / "sine")]) == 0
+    api_csv = tmp_path / "api.csv"
+    run_sweep(SimConfig(snr_grid_db=(0.0, 4.0, 8.0), n_bits=4000, seed=5,
+                        source="sine"), csv_path=api_csv)
+    assert (tmp_path / "sine" / "points.csv").read_bytes() == \
+        api_csv.read_bytes()
     capsys.readouterr()
 
 

@@ -35,6 +35,17 @@ def binomial_ci(errors, trials, sigmas):
     return max(0.0, p - half), min(1.0, p + half)
 
 
+def reconstruct_sine(bits):
+    """The oracle of ``simcli.generate_source``: 8-bit two's-complement PCM
+    bits, MSB first, back to the quantized waveform in [-128/127, 1]."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    if len(bits) % 8 != 0:
+        raise ConfigurationError("bit count must be a multiple of 8")
+    pcm = np.packbits(bits.reshape(-1, 8), axis=1).ravel().astype(np.int64)
+    pcm[pcm >= 128] -= 256
+    return pcm / 127.0
+
+
 def instantaneous_covariance(x, d):
     """Rank-one estimates R = x x^H and r = d* x used by the LMS gradient."""
     x = np.asarray(x, dtype=np.complex128)
