@@ -39,9 +39,11 @@ def cmd_ber_sweep(args):
     cfg = simcli.load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    # the sweep runs first, so a point that fails leaves no output directory
+    points = simcli.run_sweep(cfg)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "points.csv")
-    points = simcli.run_sweep(cfg, csv_path=csv_path)
+    simcli.write_csv(points, csv_path)
     svg_path = os.path.join(args.out, "curves.svg")
     simcli.emit_plot(points, svg_path)
     for p in points:

@@ -4,7 +4,10 @@ Generators are the standard octal 171/133 pair.  The encoder starts in the
 all-zero state, appends six zero tail bits, and emits the 171 output before
 the 133 output for every input bit.  The decoder is terminated at the zero
 state and breaks metric ties toward the lower-numbered predecessor state.
-It folds four trellis steps into one radix-16 add-compare-select pass.
+It folds four trellis steps into one radix-16 add-compare-select pass, and
+it takes one block or a stack of equal-length blocks: a stack runs through
+the same loop, each pass serving every block, so the per-pass call
+overhead is spread over the blocks.
 """
 
 import functools
@@ -94,30 +97,51 @@ def _radix_tables(spec):
     return tuple(tables)
 
 
+# ACS rows collect in an int32 ring of this many passes; one copy per ring
+# moves their low bytes to the uint8 survivor history
+_RING = 64
+
+
 def _acs(pm, tab, groups, hist):
     """Run one radix-2**r add-compare-select pass per packed symbol group.
 
-    ``pm`` holds 16 times the path metric of each state and is updated in
-    place; each row of ``hist`` receives the winning ``16 * metric + tie
-    rank`` of every destination state.
+    ``pm`` (P, n_states) holds 16 times the path metric of each state of P
+    blocks and is updated in place.  Each entry of ``groups`` is one pass's
+    table index: an int when P = 1, which picks a view of one table row,
+    else an array of P, which gathers P rows.  ``hist[:, i]`` (hist is
+    (P, passes, n_states)) receives the low byte of the winning
+    ``16 * metric + tie rank`` of every destination state in pass i.
     """
     n_a, n_h, n_l = tab.shape[1:]
-    buf = np.empty(tab.shape[1:], dtype=pm.dtype)
-    pm_in = pm.reshape(n_a, n_h, 1)
-    pm_out = pm.reshape(n_h, n_l)
-    for p, row in zip(groups, hist.reshape(-1, n_h, n_l)):
-        np.add(pm_in, tab[p], out=buf)
-        np.minimum.reduce(buf, axis=0, out=row)
-        np.bitwise_and(row, ~15, out=pm_out)
+    n_blocks = len(pm)
+    buf = np.empty((n_blocks, n_a, n_h, n_l), dtype=pm.dtype)
+    ring = np.empty((_RING, *pm.shape), dtype=pm.dtype)
+    # views made once: a list lookup per pass costs less than a new view
+    rows = list(ring.reshape(_RING, n_blocks, n_h, n_l))
+    metrics = list(tab) if n_blocks == 1 else tab
+    pm_in = pm.reshape(n_blocks, n_a, n_h, 1)
+    pm_out = pm.reshape(n_blocks, n_h, n_l)
+    for start in range(0, hist.shape[1], _RING):
+        chunk = groups[start: start + _RING]
+        for g, row in zip(chunk, rows):
+            np.add(pm_in, metrics[g], out=buf)
+            np.minimum.reduce(buf, axis=1, out=row)
+            np.bitwise_and(row, ~15, out=pm_out)
+        np.copyto(hist[:, start: start + len(chunk)],
+                  ring[:len(chunk)].swapaxes(0, 1), casting="unsafe")
 
 
 def viterbi_decode(coded, spec=DEFAULT_CODE):
-    """Hard-decision maximum-likelihood decode of a zero-terminated block.
+    """Hard-decision maximum-likelihood decode of zero-terminated blocks.
 
-    Each pass of the loop advances the trellis by four steps: every
-    destination state d = h * 16 + l picks the best of its 16 predecessors
-    s = a * 4 + h in one minimum over ``16 * metric + bitrev4(a)``.  The
-    first ``n_steps % 4`` steps run as one shorter pass of the same kind.
+    ``coded`` is one block (n,) or a stack (P, n) of equal-length blocks,
+    decoded together; the result has the same number of dimensions.
+
+    Each pass of the loop advances the trellis of every block by four
+    steps: every destination state d = h * 16 + l picks the best of its 16
+    predecessors s = a * 4 + h in one minimum over ``16 * metric +
+    bitrev4(a)``.  The first ``n_steps % 4`` steps run as one shorter pass
+    of the same kind.
 
     The tie rule is the per-step one, exactly.  A per-step decoder keeps, at
     each step, the lower-numbered predecessor on a tie, which is the one
@@ -129,45 +153,68 @@ def viterbi_decode(coded, spec=DEFAULT_CODE):
     shifted out are the bits of a, most significant first, so the key
     (c_r, ..., c_1) read as a binary number is bitrev_r(a).  It fits in the
     low four bits under the metric scaled by 16, and one integer minimum
-    gives both the survivor and the per-step tie rule.
+    gives both the survivor and the per-step tie rule.  The traceback reads
+    only those four bits, so the history keeps one byte per state and pass.
     """
     coded = np.asarray(coded)
-    if len(coded) % 2 != 0:
-        raise FramingError(f"coded length {len(coded)} is odd")
-    if len(coded) < 2 * spec.tail_bits:
-        raise FramingError(f"coded length {len(coded)} shorter than the tail")
+    if coded.ndim not in (1, 2):
+        raise FramingError(
+            f"coded bits must be one block or a stack of blocks, "
+            f"got {coded.ndim} dimensions")
+    n = coded.shape[-1]
+    if n % 2 != 0:
+        raise FramingError(f"coded length {n} is odd")
+    if n < 2 * spec.tail_bits:
+        raise FramingError(f"coded length {n} shorter than the tail")
     if not ((coded == 0) | (coded == 1)).all():
         raise FramingError("coded bits must be 0 or 1")
-    coded = coded.astype(np.int64)
-    n_steps = len(coded) // 2
-    rx_sym = (coded[0::2] << 1) | coded[1::2]
+    blocks = coded.astype(np.uint8, copy=False).reshape(-1, n)
+    n_blocks, n_steps = len(blocks), n // 2
+    rx_sym = (blocks[:, 0::2] << 1) | blocks[:, 1::2]
 
     m = spec.tail_bits
     tables = _radix_tables(spec)
     radix = len(tables)
     head = n_steps % radix
-    n_blocks = -(-n_steps // radix)
+    n_passes = -(-n_steps // radix)
+    # the packed symbols of one pass are a table index below 4**radix <= 256
+    weights = (4 ** np.arange(radix - 1, -1, -1)).astype(np.uint8)
+    lead = rx_sym[:, :head] @ weights[radix - head:]
+    full = rx_sym[:, head:].reshape(n_blocks, n_steps // radix, radix)
+    groups = full @ weights
+    if n_blocks == 1:
+        lead, groups = [int(lead[0])], groups[0].tolist()
+    else:
+        lead, groups = lead[None], np.ascontiguousarray(groups.T)
     # unreachable start states lose every comparison with a real path, whose
     # metric is at most 2 * n_steps; int32 holds 16 times that up to 2**24 steps
     dtype = np.int32 if n_steps < 1 << 24 else np.int64
-    pm = np.full(spec.n_states, 16 * (2 * n_steps + 1), dtype=dtype)
-    pm[0] = 0
-    hist = np.empty((n_blocks, spec.n_states), dtype=dtype)
-    weights = 4 ** np.arange(radix - 1, -1, -1)
+    pm = np.full((n_blocks, spec.n_states), 16 * (2 * n_steps + 1), dtype=dtype)
+    pm[:, 0] = 0
+    hist = np.empty((n_blocks, n_passes, spec.n_states), dtype=np.uint8)
     if head:
-        _acs(pm, tables[head - 1], [int(rx_sym[:head] @ weights[-head:])], hist[:1])
-    groups = rx_sym[head:].reshape(-1, radix) @ weights
-    _acs(pm, tables[-1], groups.tolist(), hist[n_blocks - len(groups):])
+        _acs(pm, tables[head - 1], lead, hist[:, :1])
+    _acs(pm, tables[-1], groups, hist[:, n_passes - len(groups):])
 
-    # trace back from the zero end state, one pass per iteration; the state
-    # before the first pass is the start state, so its width never matters
-    flat = memoryview(hist.ravel())
-    unrank = [_bitrev(x, radix) for x in range(1 << radix)]
-    ends = [0] * n_blocks
-    for i in range(n_blocks - 1, 0, -1):
-        a = unrank[flat[i * spec.n_states + ends[i]] & 15]
-        ends[i - 1] = (a << (m - radix)) | (ends[i] >> radix)
+    # trace each block back from the zero end state, one pass per iteration;
+    # the state before the first pass is the start state, so its width never
+    # matters.  high[byte] is the part of a pass's start state that the
+    # survivor's tie rank, the byte's low four bits, encodes.
+    high = [_bitrev(x, radix) << (m - radix) for x in range(16)] * 16
+    n_states = spec.n_states
+    ends = np.empty((n_blocks, n_passes), np.min_scalar_type(n_states - 1))
+    for block, block_ends in zip(hist, ends):
+        survivors = memoryview(block.ravel())
+        row = [0] * n_passes
+        state, pos = 0, len(survivors)
+        for i in range(n_passes - 1, 0, -1):
+            pos -= n_states  # the survivors of pass i
+            state = high[survivors[pos + state]] | state >> radix
+            row[i - 1] = state
+        block_ends[:] = row
     # each pass's input bits are the low bits of its end state
-    decoded = (np.array(ends)[:, None] >> np.arange(radix - 1, -1, -1)) & 1
-    pad = n_blocks * radix - n_steps  # unused high bits of the short head pass
-    return decoded.astype(np.uint8).ravel()[pad: pad + n_steps - m]
+    shifts = np.arange(radix - 1, -1, -1, dtype=ends.dtype)
+    decoded = (ends[..., None] >> shifts & 1).reshape(n_blocks, n_passes * radix)
+    pad = n_passes * radix - n_steps  # unused high bits of the short head pass
+    decoded = decoded[:, pad: pad + n_steps - m]
+    return decoded if coded.ndim == 2 else decoded[0]

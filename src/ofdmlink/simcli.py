@@ -60,7 +60,8 @@ MSE_WINDOW = 100
 # the longest SNR grid a config file may ask for
 _MAX_SNR_POINTS = 10_000
 # the largest point a config may ask for: a coded Rician pre-FFT LMS point,
-# the heaviest chain, peaks near 0.45 GB per 10^6 bits
+# the heaviest chain, peaks near 0.33 GB per 10^6 bits in its front half; a
+# coded sweep, which holds four points' bits for one decode, near 0.36 GB
 _MAX_N_BITS = 4_000_000
 # each training symbol adds 320 LMS updates to every pre-FFT point
 _MAX_TRAINING_SYMBOLS = 100
@@ -338,8 +339,18 @@ _RECEIVERS = {
 }
 
 
-def run_point(cfg, snr_db, modulation=None, stream_id=0):
-    """Simulate one (SNR, modulation) point and return its BerPoint."""
+@dataclass(frozen=True)
+class _Received:
+    """A point after the hard demapper: what its scoring tail needs."""
+    modulation: str
+    snr_db: float  # as the caller gave it
+    bits_per_symbol: int
+    info_bits: np.ndarray
+    hard_bits: np.ndarray  # coded bits when cfg.coding is cc_k7
+
+
+def _front_half(cfg, snr_db, modulation, stream_id):
+    """Source, encode, map, transmit, channel, receiver and hard demap."""
     modulation = modulation or cfg.modulations[0]
     spec = constellation(modulation)
     grid = default_grid()
@@ -356,8 +367,7 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
         [symbols, np.zeros(-len(symbols) % n_data, dtype=np.complex128)]
     ).reshape(-1, n_data)
 
-    mode = cfg.receiver_mode
-    receiver = _RECEIVERS[mode]
+    receiver = _RECEIVERS[cfg.receiver_mode]
     n_train = cfg.training_symbols if receiver.trains else 0
     # the time-domain equalizer never reads the pilot comb; known random
     # symbols there keep the regressor free of a deterministic component
@@ -367,17 +377,35 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
     data_vals = receiver.equalize(cfg, rx, flat, pilots, taps, n_train, grid)
 
     # the pad symbols and pad bits carry no information
-    rx_bits = demap_hard(data_vals.ravel()[: len(symbols)], spec)[: len(coded)]
+    hard_bits = demap_hard(data_vals.ravel()[: len(symbols)], spec)[: len(coded)]
+    return _Received(modulation, snr_db, k, info_bits, hard_bits)
+
+
+def _score(cfg, point, rx_bits):
+    """The BerPoint of a point whose information bits decoded to rx_bits."""
+    return BerPoint(
+        modulation=point.modulation, channel=cfg.channel, coding=cfg.coding,
+        receiver_mode=cfg.receiver_mode, snr_db=float(point.snr_db),
+        ebn0_db=ebn0_from_esn0(point.snr_db, point.bits_per_symbol,
+                               cfg.code_rate),
+        bits=len(point.info_bits),
+        errors=int(np.count_nonzero(rx_bits != point.info_bits)),
+        seed=cfg.seed,
+    )
+
+
+def run_point(cfg, snr_db, modulation=None, stream_id=0):
+    """Simulate one (SNR, modulation) point and return its BerPoint."""
+    point = _front_half(cfg, snr_db, modulation, stream_id)
+    rx_bits = point.hard_bits
     if cfg.coding == "cc_k7":
         rx_bits = viterbi_decode(rx_bits)
-    errors = int(np.count_nonzero(rx_bits != info_bits))
+    return _score(cfg, point, rx_bits)
 
-    return BerPoint(
-        modulation=modulation, channel=cfg.channel, coding=cfg.coding,
-        receiver_mode=mode, snr_db=float(snr_db),
-        ebn0_db=ebn0_from_esn0(snr_db, k, cfg.code_rate),
-        bits=len(info_bits), errors=errors, seed=cfg.seed,
-    )
+
+# coded sweeps decode this many points per viterbi_decode call; the stacked
+# survivor history of a batch is as large as one int32 single-block history
+_DECODE_BATCH = 4
 
 
 def run_sweep(cfg, csv_path=None):
@@ -385,12 +413,23 @@ def run_sweep(cfg, csv_path=None):
 
     Each point gets the RNG stream matching its index in the ordered
     (modulation, snr) product, so adding points never perturbs existing ones.
+    Coded points run their front halves in batches of up to _DECODE_BATCH
+    and share one Viterbi call: every point has n_bits information bits, so
+    their trellises have one length whatever the modulation.  Uncoded points
+    have no decode to share and go through run_point one at a time, so that
+    a tracer wrapping run_point still times their glue.
     """
     jobs = [(mod, snr) for mod in cfg.modulations for snr in cfg.snr_grid_db]
-    points = [
-        run_point(cfg, snr, modulation=mod, stream_id=i)
-        for i, (mod, snr) in enumerate(jobs)
-    ]
+    if cfg.coding == "none":
+        points = [run_point(cfg, snr, modulation=mod, stream_id=i)
+                  for i, (mod, snr) in enumerate(jobs)]
+    else:
+        points = []
+        for first in range(0, len(jobs), _DECODE_BATCH):
+            batch = [_front_half(cfg, snr, mod, first + j) for j, (mod, snr)
+                     in enumerate(jobs[first: first + _DECODE_BATCH])]
+            decoded = viterbi_decode(np.stack([p.hard_bits for p in batch]))
+            points += [_score(cfg, p, bits) for p, bits in zip(batch, decoded)]
     if csv_path is not None:
         write_csv(points, csv_path)
     return points

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,58 @@ def test_matches_per_step_reference_other_codes(spec):
 def test_encoder_rejects_non_binary(message):
     with pytest.raises(FramingError, match="message bits must be 0 or 1"):
         conv_encode(message)
+
+
+def _noisy_stack(rng, n_blocks, length, flip_rate):
+    words = np.stack([conv_encode(rng.integers(0, 2, length).astype(np.uint8))
+                      for _ in range(n_blocks)])
+    return words ^ (rng.random(words.shape) < flip_rate).astype(np.uint8)
+
+
+@pytest.mark.parametrize("flip_rate", [0.05, 0.5])
+@pytest.mark.parametrize("n_blocks", [1, 2, 4, 5])
+def test_stacked_blocks_match_single_and_reference(n_blocks, flip_rate):
+    rng = np.random.default_rng(7)
+    # n_steps = length + 6 takes every value mod 4, so every head pass runs
+    for length in (30, 31, 32, 33, 203):
+        stack = _noisy_stack(rng, n_blocks, length, flip_rate)
+        decoded = viterbi_decode(stack)
+        assert decoded.shape == (n_blocks, length)
+        for row, word in zip(decoded, stack):
+            assert np.array_equal(row, viterbi_decode(word))
+            assert np.array_equal(row, _reference_viterbi(word))
+
+
+def test_one_block_decodes_to_one_dimension():
+    msg = np.random.default_rng(8).integers(0, 2, 50).astype(np.uint8)
+    assert viterbi_decode(conv_encode(msg)).shape == (50,)
+    assert viterbi_decode(conv_encode(msg)[None]).shape == (1, 50)
+    assert viterbi_decode(list(conv_encode(msg))).shape == (50,)
+
+
+@pytest.mark.parametrize("coded, message", [
+    (np.zeros((3, 13), dtype=np.uint8), "odd"),
+    (np.zeros((3, 10), dtype=np.uint8), "shorter than the tail"),
+    (np.full((3, 32), 2, dtype=np.uint8), "0 or 1"),
+    (np.zeros((2, 2, 32), dtype=np.uint8), "3 dimensions"),
+], ids=["odd", "short", "non-binary", "3-d"])
+def test_bad_stack_rejected(coded, message):
+    with pytest.raises(FramingError, match=message):
+        viterbi_decode(coded)
+
+
+# tracemalloc peak, in bytes, of one warm 44 000-bit decode of this test's
+# first block while the survivor history held int32 rows
+_INT32_HISTORY_SINGLE_PEAK = 4_622_944
+
+
+def test_four_block_decode_peaks_below_one_int32_history_decode():
+    stack = _noisy_stack(np.random.default_rng(9), 4, 44000, 0.06)
+    viterbi_decode(stack[:, :64])  # builds the cached tables untraced
+    tracemalloc.start()
+    try:
+        viterbi_decode(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _INT32_HISTORY_SINGLE_PEAK

@@ -213,6 +213,19 @@ def test_bad_config_fails_before_any_point(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+def test_failed_sweep_leaves_no_output_directory(tmp_path, capsys):
+    # the config passes SimConfig; the first point's LMS diverges at run time
+    cfg = tmp_path / "diverges.cfg"
+    cfg.write_text("receiver_mode = pre_fft_lms\nlms_mu = 100\nn_bits = 800\n")
+    out_dir = tmp_path / "out"
+    assert cli.main(["ber-sweep", "--config", str(cfg),
+                     "--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: LMS diverged") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command, source_line",
                          _CONFIG_COMMANDS + [pytest.param("plot", "", id="plot")])
 @pytest.mark.parametrize("content, message", [
@@ -510,18 +523,39 @@ def test_run_point_matches_qpsk_theory():
 _RECEIVERS = ("known_channel_zf", "pilot_fd_lms", "pre_fft_lms")
 
 
-@pytest.mark.parametrize("channel", ["awgn", "static", "rician"])
-@pytest.mark.parametrize("receiver", _RECEIVERS)
-def test_sweep_points_equal_single_point_calls(receiver, channel):
+def _assert_sweep_equals_single_points(cfg):
     # a sweep may batch its points, but each must stay the point that
     # run_point gives on the stream of its index
-    cfg = SimConfig(modulations=("qpsk", "16qam"), channel=channel,
-                    receiver_mode=receiver, snr_grid_db=(4.0, 12.0, 30.0),
-                    n_bits=800)
     jobs = [(mod, snr) for mod in cfg.modulations for snr in cfg.snr_grid_db]
     expected = [run_point(cfg, snr, mod, stream_id=i)
                 for i, (mod, snr) in enumerate(jobs)]
     assert run_sweep(cfg) == expected
+
+
+@pytest.mark.parametrize("channel", ["awgn", "static", "rician"])
+@pytest.mark.parametrize("receiver", _RECEIVERS)
+def test_sweep_points_equal_single_point_calls(receiver, channel):
+    _assert_sweep_equals_single_points(SimConfig(
+        modulations=("qpsk", "16qam"), channel=channel,
+        receiver_mode=receiver, snr_grid_db=(4.0, 12.0, 30.0), n_bits=800))
+
+
+@pytest.mark.parametrize("channel", ["awgn", "static", "rician"])
+@pytest.mark.parametrize("receiver", _RECEIVERS)
+def test_coded_sweep_points_equal_single_point_calls(receiver, channel,
+                                                     monkeypatch):
+    shapes = []
+    real = simcli.viterbi_decode
+    monkeypatch.setattr(simcli, "viterbi_decode",
+                        lambda coded: shapes.append(coded.shape) or real(coded))
+    _assert_sweep_equals_single_points(SimConfig(
+        modulations=("qpsk", "16qam", "64qam"), channel=channel,
+        coding="cc_k7", receiver_mode=receiver,
+        snr_grid_db=(4.0, 12.0, 30.0), n_bits=800))
+    # nine single blocks, then the sweep's batches of 4 + 4 + 1 points,
+    # which mix modulations
+    n = 2 * (800 + 6)
+    assert shapes == [(n,)] * 9 + [(4, n), (4, n), (1, n)]
 
 
 # the modulations README's noiseless table (and, for the genie receiver,
