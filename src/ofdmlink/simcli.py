@@ -95,9 +95,11 @@ class SimConfig:
             raise ConfigurationError("no modulation given")
         for name in self.modulations:
             constellation(name)
-        # a pre-FFT equalizer longer than one OFDM symbol has no use
+        # a pre-FFT equalizer longer than one OFDM symbol has no use, and
+        # RngStream keys on the low 64 bits of the seed: wider seeds alias
         symbol_len = default_grid().symbol_len
         for name, lo, hi in (("n_bits", 1, _MAX_N_BITS),
+                             ("seed", 0, 2**64 - 1),
                              ("lms_taps", 1, symbol_len),
                              ("training_symbols", 0, _MAX_TRAINING_SYMBOLS)):
             value = getattr(self, name)
@@ -185,6 +187,8 @@ def parse_config(text):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ConfigurationError(f"line {lineno}: key {key!r} given twice")
         raw[key] = value
 
     def parsed(key, parse):
@@ -339,19 +343,10 @@ _RECEIVERS = {
 }
 
 
-@dataclass(frozen=True)
-class _Received:
-    """A point after the hard demapper: what its scoring tail needs."""
-    modulation: str
-    snr_db: float  # as the caller gave it
-    bits_per_symbol: int
-    info_bits: np.ndarray
-    hard_bits: np.ndarray  # coded bits when cfg.coding is cc_k7
-
-
 def _front_half(cfg, snr_db, modulation, stream_id):
-    """Source, encode, map, transmit, channel, receiver and hard demap."""
-    modulation = modulation or cfg.modulations[0]
+    """Source, encode, map, transmit, channel, receiver and hard demap:
+    ``(info_bits, hard_bits, bits_per_symbol)``, with coded hard bits when
+    cfg.coding is cc_k7."""
     spec = constellation(modulation)
     grid = default_grid()
     rng = RngStream(cfg.seed, stream_id)
@@ -378,29 +373,30 @@ def _front_half(cfg, snr_db, modulation, stream_id):
 
     # the pad symbols and pad bits carry no information
     hard_bits = demap_hard(data_vals.ravel()[: len(symbols)], spec)[: len(coded)]
-    return _Received(modulation, snr_db, k, info_bits, hard_bits)
+    return info_bits, hard_bits, k
 
 
-def _score(cfg, point, rx_bits):
-    """The BerPoint of a point whose information bits decoded to rx_bits."""
-    return BerPoint(
-        modulation=point.modulation, channel=cfg.channel, coding=cfg.coding,
-        receiver_mode=cfg.receiver_mode, snr_db=float(point.snr_db),
-        ebn0_db=ebn0_from_esn0(point.snr_db, point.bits_per_symbol,
-                               cfg.code_rate),
-        bits=len(point.info_bits),
-        errors=int(np.count_nonzero(rx_bits != point.info_bits)),
-        seed=cfg.seed,
-    )
+def _run_points(cfg, jobs, first_stream):
+    """The BerPoints of (modulation, snr_db) jobs on streams first_stream,
+    first_stream + 1, ...; coded points share one Viterbi call, which takes
+    their equal-length blocks as one stack."""
+    halves = [_front_half(cfg, snr, mod, first_stream + j)
+              for j, (mod, snr) in enumerate(jobs)]
+    decoded = [hard for _, hard, _ in halves]
+    if cfg.coding == "cc_k7":
+        decoded = viterbi_decode(np.stack(decoded))
+    return [BerPoint(
+        modulation=mod, channel=cfg.channel, coding=cfg.coding,
+        receiver_mode=cfg.receiver_mode, snr_db=float(snr),
+        ebn0_db=ebn0_from_esn0(snr, k, cfg.code_rate), bits=len(info),
+        errors=int(np.count_nonzero(rx_bits != info)), seed=cfg.seed,
+    ) for (mod, snr), (info, _, k), rx_bits in zip(jobs, halves, decoded)]
 
 
 def run_point(cfg, snr_db, modulation=None, stream_id=0):
     """Simulate one (SNR, modulation) point and return its BerPoint."""
-    point = _front_half(cfg, snr_db, modulation, stream_id)
-    rx_bits = point.hard_bits
-    if cfg.coding == "cc_k7":
-        rx_bits = viterbi_decode(rx_bits)
-    return _score(cfg, point, rx_bits)
+    jobs = [(modulation or cfg.modulations[0], snr_db)]
+    return _run_points(cfg, jobs, stream_id)[0]
 
 
 # coded sweeps decode this many points per viterbi_decode call; the stacked
@@ -413,11 +409,11 @@ def run_sweep(cfg, csv_path=None):
 
     Each point gets the RNG stream matching its index in the ordered
     (modulation, snr) product, so adding points never perturbs existing ones.
-    Coded points run their front halves in batches of up to _DECODE_BATCH
-    and share one Viterbi call: every point has n_bits information bits, so
-    their trellises have one length whatever the modulation.  Uncoded points
-    have no decode to share and go through run_point one at a time, so that
-    a tracer wrapping run_point still times their glue.
+    Coded points run in batches of up to _DECODE_BATCH that share one
+    Viterbi call: every point has n_bits information bits, so their
+    trellises have one length whatever the modulation.  Uncoded points have
+    no decode to share and go through run_point one at a time, so that a
+    tracer wrapping run_point still times their glue.
     """
     jobs = [(mod, snr) for mod in cfg.modulations for snr in cfg.snr_grid_db]
     if cfg.coding == "none":
@@ -426,10 +422,8 @@ def run_sweep(cfg, csv_path=None):
     else:
         points = []
         for first in range(0, len(jobs), _DECODE_BATCH):
-            batch = [_front_half(cfg, snr, mod, first + j) for j, (mod, snr)
-                     in enumerate(jobs[first: first + _DECODE_BATCH])]
-            decoded = viterbi_decode(np.stack([p.hard_bits for p in batch]))
-            points += [_score(cfg, p, bits) for p, bits in zip(batch, decoded)]
+            points += _run_points(cfg, jobs[first: first + _DECODE_BATCH],
+                                  first)
     if csv_path is not None:
         write_csv(points, csv_path)
     return points
@@ -441,9 +435,11 @@ def run_lms_trace(cfg):
     Returns ``(trace, mu, initial_mse)``: the LMS trace, the chosen step
     size, and the error power of the unadapted (zero-weight) equalizer.
 
-    When lms_mu is unset, each candidate step size trains once and the
-    trace with the lowest finite MSE over the last MSE_WINDOW steps is kept
-    (the first one on a tie); a diverging candidate is skipped.
+    When lms_mu is set it is the one candidate step size; when unset, each
+    of _MU_CANDIDATES is.  Each candidate trains once, and the trace with the
+    lowest MSE over the last MSE_WINDOW steps is kept (the first one on a
+    tie; a non-finite MSE ranks last).  A diverging candidate is skipped; if
+    every one diverges, the error names the first one's update and step size.
     """
     _check_training_span(cfg)
     spec = constellation(cfg.modulations[0])
@@ -456,21 +452,21 @@ def run_lms_trace(cfg):
     # reference level the converged MSE is compared against
     initial_mse = float(np.mean(np.abs(flat) ** 2))
 
-    if cfg.lms_mu > 0:
-        _, trace = equalize_pre_fft(rx, flat, cfg.lms_taps, cfg.lms_mu)
-        return trace, cfg.lms_mu, initial_mse
-    best = None
-    for mu in _MU_CANDIDATES:
+    best = first_divergence = None
+    for mu in (cfg.lms_mu,) if cfg.lms_mu > 0 else _MU_CANDIDATES:
         try:
             _, trace = equalize_pre_fft(rx, flat, cfg.lms_taps, mu)
-        except DivergenceError:
+        except DivergenceError as exc:
+            first_divergence = first_divergence or exc
             continue
         mse = float(trace.squared_errors[-MSE_WINDOW:].mean())
-        if np.isfinite(mse) and (best is None or mse < best[0]):
+        mse = mse if math.isfinite(mse) else math.inf
+        if best is None or mse < best[0]:
             best = mse, mu, trace
     if best is None:
-        raise DivergenceError(0, 0.0,
-                              detail="every candidate step size diverged")
+        detail = "" if cfg.lms_mu > 0 else "every candidate step size diverged"
+        raise DivergenceError(first_divergence.step,
+                              first_divergence.step_size, detail=detail)
     _, mu, trace = best
     return trace, mu, initial_mse
 

@@ -70,6 +70,12 @@ def test_parse_config_rejects_unknown_key():
         parse_config("bogus = 1")
 
 
+def test_parse_config_rejects_a_repeated_key():
+    with pytest.raises(ConfigurationError,
+                       match="^line 3: key 'modulation' given twice$"):
+        parse_config("modulation = qpsk\n# comment\nmodulation = 16qam")
+
+
 @pytest.mark.parametrize("line", [
     "n_bits = abc", "seed = 1.5", "lms_taps = eleven", "k_factor = high",
     "snr_step_db = 2dB",
@@ -114,6 +120,7 @@ def test_config_rejects_bad_lms_settings(field, value):
 @pytest.mark.parametrize("field, value", [
     ("n_bits", 0), ("n_bits", 4_000_001), ("n_bits", 10**15),
     ("lms_taps", 321), ("training_symbols", 101), ("training_symbols", 10**15),
+    ("seed", -1), ("seed", 2**64), ("seed", 2**64 + 1),
 ])
 def test_config_rejects_out_of_range_sizes(field, value):
     with pytest.raises(ConfigurationError, match=f"{field} must be in"):
@@ -124,9 +131,10 @@ def test_config_rejects_out_of_range_sizes(field, value):
 
 def test_config_accepts_the_largest_sizes():
     cfg = parse_config("n_bits = 4000000\nlms_taps = 320\n"
-                       "training_symbols = 100")
-    assert (cfg.n_bits, cfg.lms_taps, cfg.training_symbols) == \
-        (4_000_000, 320, 100)
+                       "training_symbols = 100\nseed = 18446744073709551615")
+    assert (cfg.n_bits, cfg.lms_taps, cfg.training_symbols, cfg.seed) == \
+        (4_000_000, 320, 100, 2**64 - 1)
+    SimConfig(seed=0)
     SimConfig(receiver_mode="pre_fft_lms", lms_taps=320, training_symbols=1)
 
 
@@ -199,10 +207,17 @@ _CONFIG_COMMANDS = [
     ("source = wav", "unknown source 'wav'"),
     ("source = sine\nn_bits = 44001",
      "sine source: n_bits 44001 is not a multiple of 8"),
+    ("seed = -1", "seed must be in 0..18446744073709551615, got -1"),
+    ("seed = 18446744073709551617",
+     "seed must be in 0..18446744073709551615, got 18446744073709551617"),
+    ("modulation = qpsk\nmodulation = 16qam", "key 'modulation' given twice"),
 ])
 def test_bad_config_fails_before_any_point(tmp_path, capsys, command,
                                            source_line, line, message):
     cfg = tmp_path / "bad.cfg"
+    # a key is given once, so a line that sets the source stands alone
+    if line.startswith("source ="):
+        source_line = ""
     cfg.write_text(source_line + line + "\n")
     args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
     assert cli.main(args) == 1
@@ -224,6 +239,33 @@ def test_failed_sweep_leaves_no_output_directory(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: LMS diverged") and err.count("\n") == 1
     assert not out_dir.exists()
+
+
+def test_seed_option_equals_the_seed_key(tmp_path, capsys):
+    base = ("snr_start_db = 0\nsnr_stop_db = 10\nsnr_step_db = 10\n"
+            "n_bits = 800\n")
+    flag_cfg, key_cfg = tmp_path / "flag.cfg", tmp_path / "key.cfg"
+    flag_cfg.write_text(base)
+    key_cfg.write_text(base + "seed = 7\n")
+    assert cli.main(["ber-sweep", "--config", str(flag_cfg), "--seed", "7",
+                     "--out", str(tmp_path / "flag")]) == 0
+    assert cli.main(["ber-sweep", "--config", str(key_cfg),
+                     "--out", str(tmp_path / "key")]) == 0
+    capsys.readouterr()
+    flag_csv, key_csv = (tmp_path / d / "points.csv" for d in ("flag", "key"))
+    assert flag_csv.read_bytes() == key_csv.read_bytes()
+    assert [p.seed for p in read_csv(flag_csv)] == [7, 7]
+
+
+def test_seed_option_out_of_range_fails_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("n_bits = 800\n")
+    assert cli.main(["ber-sweep", "--config", str(cfg), "--seed", "-1",
+                     "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be in 0..18446744073709551615, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, source_line",
@@ -338,8 +380,24 @@ def test_lms_trace_skips_diverging_candidates(monkeypatch):
     assert mus == [50.0, 1e-2, 5.0]
     monkeypatch.setattr(simcli, "_MU_CANDIDATES", (50.0, 5.0))
     with pytest.raises(DivergenceError,
-                       match="every candidate step size diverged"):
+                       match="every candidate step size diverged") as info:
         run_lms_trace(cfg)
+    # the error names the first diverging candidate's own update
+    assert info.value.step >= 1
+    assert info.value.step_size == 50.0
+
+
+def test_lms_trace_with_a_diverging_step_size_fails_in_one_line(tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "diverges.cfg"
+    cfg.write_text("lms_mu = 50\n")
+    assert cli.main(["lms-trace", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: LMS diverged at update ")
+    assert err.endswith(" with step size 50.0\n") and err.count("\n") == 1
+    assert not (tmp_path / "lms_trace.csv").exists()
 
 
 def test_batched_rician_zf_matches_per_frame_loop():
@@ -552,10 +610,10 @@ def test_coded_sweep_points_equal_single_point_calls(receiver, channel,
         modulations=("qpsk", "16qam", "64qam"), channel=channel,
         coding="cc_k7", receiver_mode=receiver,
         snr_grid_db=(4.0, 12.0, 30.0), n_bits=800))
-    # nine single blocks, then the sweep's batches of 4 + 4 + 1 points,
-    # which mix modulations
+    # nine single points, each a stack of one block, then the sweep's
+    # batches of 4 + 4 + 1 points, which mix modulations
     n = 2 * (800 + 6)
-    assert shapes == [(n,)] * 9 + [(4, n), (4, n), (1, n)]
+    assert shapes == [(1, n)] * 9 + [(4, n), (4, n), (1, n)]
 
 
 # the modulations README's noiseless table (and, for the genie receiver,
