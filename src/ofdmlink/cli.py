@@ -6,7 +6,7 @@ import sys
 from dataclasses import replace
 
 from . import simcli
-from .errors import SimError
+from .errors import ConfigurationError, SimError
 
 
 def _add_config_arg(parser):
@@ -39,6 +39,9 @@ def cmd_ber_sweep(args):
     cfg = simcli.load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ConfigurationError(
+            f"--out {args.out} exists and is not a directory")
     # the sweep runs first, so a point that fails leaves no output directory
     points = simcli.run_sweep(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -76,7 +79,9 @@ def main(argv=None):
         else:
             simcli.emit_plot(simcli.read_csv(args.infile), args.outfile)
             print(f"wrote {args.outfile}")
-    except SimError as exc:
+    # inputs that cannot be read are SimErrors; an OSError is an output that
+    # cannot be written, and its text names the path
+    except (SimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -117,8 +117,6 @@ class PilotLmsEstimator:
             raise ConfigurationError(f"step size must be > 0, got {step_size}")
         self.grid = grid
         self.step_size = step_size
-        self.weights = np.zeros(len(grid.pilot_bins), dtype=np.complex128)
-        self.update_count = 0
 
         half = grid.fft_size // 2
 
@@ -128,57 +126,53 @@ class PilotLmsEstimator:
         freq_pilot = signed(grid.pilot_bins)
         self._pilot_order = np.argsort(freq_pilot)
         self._freq_pilot = freq_pilot[self._pilot_order]
-        freq_active = signed(grid.active_bins)
-        # the pilot interval of each active bin, as np.interp finds it; the
+        freq_data = signed(grid.data_bins)
+        # the pilot interval of each data bin, as np.interp finds it; the
         # last pilot's interval has slope 0, and bins left of the first pilot
         # sit at offset 0, so both edges copy the nearest pilot
         self._interval = np.clip(
-            np.searchsorted(self._freq_pilot, freq_active, side="right") - 1,
+            np.searchsorted(self._freq_pilot, freq_data, side="right") - 1,
             0, len(freq_pilot) - 1)
         self._offset = np.maximum(
-            freq_active - self._freq_pilot[self._interval], 0.0)
+            freq_data - self._freq_pilot[self._interval], 0.0)
 
     def update(self, pilot_rx, pilot_tx):
-        """Update on one OFDM symbol's pilots, (n_pilot,), or on a batch of
-        symbols, (n_frames, n_pilot), one frame after the other.
+        """Track the pilots of (n_frames, n_pilot) symbols, one frame after
+        the other, from zero weights; pilot_tx is the comb that was sent.
 
-        Returns the active-bin estimate after each frame: (n_active,) or
-        (n_frames, n_active).  A diverging tracker raises DivergenceError
-        naming its frame (``update_count``) and pilot bin.
+        Returns the data-bin estimate after each frame, (n_frames, n_data).
+        A diverging tracker raises DivergenceError naming its frame, counted
+        from 1, and its pilot bin.
         """
         pilot_rx = np.asarray(pilot_rx, dtype=np.complex128)
-        if pilot_rx.ndim not in (1, 2) or pilot_rx.shape[-1] != self.weights.size:
+        n_pilot = len(self.grid.pilot_bins)
+        if pilot_rx.ndim != 2 or pilot_rx.shape[1] != n_pilot:
             raise ConfigurationError(
-                f"expected (n_frames, {self.weights.size}) or "
-                f"({self.weights.size},) pilot values, got {pilot_rx.shape}"
-            )
-        frames_rx = np.atleast_2d(pilot_rx)
-        frames_tx = np.broadcast_to(
-            np.asarray(pilot_tx, dtype=np.complex128), frames_rx.shape)
-        step_tx = self.step_size * frames_tx
-        estimates = np.empty(frames_rx.shape, dtype=np.complex128)
-        w_conj = np.conj(self.weights)
-        for n in range(len(frames_rx)):
-            e = frames_rx[n] - w_conj * frames_tx[n]
-            self.weights = self.weights + step_tx[n] * np.conj(e)
-            self.update_count += 1
-            bad = np.abs(self.weights) > _DIVERGENCE_LIMIT
-            if bad.any():
-                raise DivergenceError(
-                    self.update_count, self.step_size,
-                    detail=f"pilot bin {self.grid.pilot_bins[np.argmax(bad)]}",
-                )
-            w_conj = estimates[n] = np.conj(self.weights)
-        active = self._interpolate(estimates)
-        return active if pilot_rx.ndim == 2 else active[0]
-
-    def _interpolate(self, estimates):
-        """np.interp of each frame's pilot estimates onto the active bins,
-        real and imaginary parts apart, with np.interp's own arithmetic
-        ``slope * (x - xp[j]) + fp[j]``, so the result is the same to the bit.
-        """
+                f"expected (n_frames, {n_pilot}) pilot values, "
+                f"got {pilot_rx.shape}")
+        pilot_tx = np.broadcast_to(
+            np.asarray(pilot_tx, dtype=np.complex128), pilot_rx.shape)
+        # each tracker keeps h = conj(w): h <- h + mu conj(x) (d - h x).  It
+        # can differ from conj(w) of the w update only in the sign of a zero,
+        # which the interpolation below drops.  Past a diverging frame h may
+        # overflow; the scan after the loop names the first frame beyond it
+        steps = np.conj(self.step_size * pilot_tx)
+        h = np.empty(pilot_rx.shape, dtype=np.complex128)
+        h_prev = np.zeros(n_pilot, dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d, x, step, h_next in zip(pilot_rx, pilot_tx, steps, h):
+                np.add(h_prev, step * (d - h_prev * x), out=h_next)
+                h_prev = h_next
+        bad = np.abs(h) > _DIVERGENCE_LIMIT
+        if bad.any():
+            frame = int(np.argmax(bad.any(axis=1)))
+            pilot_bin = self.grid.pilot_bins[np.argmax(bad[frame])]
+            raise DivergenceError(frame + 1, self.step_size,
+                                  detail=f"pilot bin {pilot_bin}")
+        # np.interp onto the data bins, real and imaginary parts apart, with
+        # its own arithmetic slope * (x - xp[j]) + fp[j], so the same bits
         parts = []
-        for fp in (estimates.real, estimates.imag):
+        for fp in (h.real, h.imag):
             fp = fp[:, self._pilot_order]
             slope = np.zeros_like(fp)
             slope[:, :-1] = np.diff(fp, axis=1) / np.diff(self._freq_pilot)

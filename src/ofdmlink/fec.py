@@ -42,14 +42,14 @@ class ConvCodeSpec:
 DEFAULT_CODE = ConvCodeSpec()
 
 
-def conv_encode(bits, spec=DEFAULT_CODE):
+def conv_encode(bits):
     """Encode with zero tail; output 2 * (len(bits) + 6) coded bits."""
     bits = np.asarray(bits)
     if not ((bits == 0) | (bits == 1)).all():
         raise FramingError("message bits must be 0 or 1")
-    padded = np.concatenate([bits, np.zeros(spec.tail_bits, dtype=np.uint8)])
+    padded = np.concatenate([bits, np.zeros(DEFAULT_CODE.tail_bits, np.uint8)])
     out = np.empty((len(padded), 2), dtype=np.uint8)
-    for j, taps in enumerate(spec.generator_taps()):
+    for j, taps in enumerate(DEFAULT_CODE.generator_taps()):
         # binary convolution of the message with the generator taps
         out[:, j] = np.convolve(padded, taps)[: len(padded)] % 2
     return out.ravel()
@@ -63,25 +63,25 @@ def _bitrev(x, width):
 
 
 @functools.lru_cache(maxsize=None)
-def _radix_tables(spec):
-    """ACS tables for r = 1 .. min(_RADIX, memory) steps at once, by r - 1.
+def _radix_tables():
+    """ACS tables for r = 1 .. _RADIX steps at once, by r - 1.
 
-    With m = spec.tail_bits memory bits, an r-step path runs from the state
+    With the code's m = 6 memory bits, an r-step path runs from the state
     s = a * 2**(m - r) + h to the state d = h * 2**r + l: the r input bits l
     are shifted in and the r high bits a of s are shifted out.  Entry
     ``tab[p, a, h, l]`` is 16 times the Hamming distance between that path's
     expected output and the r received 2-bit symbols packed in p (first
     step most significant), plus bitrev_r(a) as the tie rank.
     """
-    m = spec.tail_bits
-    g1, g2 = spec.generators
+    m = DEFAULT_CODE.tail_bits
+    g1, g2 = DEFAULT_CODE.generators
     reg = np.arange(1 << (m + 1))  # previous state << 1 | input bit
     parity = lambda g: np.array([bin(int(r) & g).count("1") & 1 for r in reg])
     out_sym = (parity(g1) << 1) | parity(g2)
     popcount = np.array([0, 1, 1, 2], dtype=np.int32)
     symbols = np.arange(4)[:, None, None, None]
     tables = []
-    for r in range(1, min(_RADIX, m) + 1):
+    for r in range(1, _RADIX + 1):
         a = np.arange(1 << r)[:, None, None]
         h = np.arange(1 << (m - r))[None, :, None]
         l = np.arange(1 << r)[None, None, :]
@@ -131,7 +131,7 @@ def _acs(pm, tab, groups, hist):
                   ring[:len(chunk)].swapaxes(0, 1), casting="unsafe")
 
 
-def viterbi_decode(coded, spec=DEFAULT_CODE):
+def viterbi_decode(coded):
     """Hard-decision maximum-likelihood decode of zero-terminated blocks.
 
     ``coded`` is one block (n,) or a stack (P, n) of equal-length blocks,
@@ -164,7 +164,7 @@ def viterbi_decode(coded, spec=DEFAULT_CODE):
     n = coded.shape[-1]
     if n % 2 != 0:
         raise FramingError(f"coded length {n} is odd")
-    if n < 2 * spec.tail_bits:
+    if n < 2 * DEFAULT_CODE.tail_bits:
         raise FramingError(f"coded length {n} shorter than the tail")
     if not ((coded == 0) | (coded == 1)).all():
         raise FramingError("coded bits must be 0 or 1")
@@ -172,8 +172,8 @@ def viterbi_decode(coded, spec=DEFAULT_CODE):
     n_blocks, n_steps = len(blocks), n // 2
     rx_sym = (blocks[:, 0::2] << 1) | blocks[:, 1::2]
 
-    m = spec.tail_bits
-    tables = _radix_tables(spec)
+    m, n_states = DEFAULT_CODE.tail_bits, DEFAULT_CODE.n_states
+    tables = _radix_tables()
     radix = len(tables)
     head = n_steps % radix
     n_passes = -(-n_steps // radix)
@@ -189,9 +189,9 @@ def viterbi_decode(coded, spec=DEFAULT_CODE):
     # unreachable start states lose every comparison with a real path, whose
     # metric is at most 2 * n_steps; int32 holds 16 times that up to 2**24 steps
     dtype = np.int32 if n_steps < 1 << 24 else np.int64
-    pm = np.full((n_blocks, spec.n_states), 16 * (2 * n_steps + 1), dtype=dtype)
+    pm = np.full((n_blocks, n_states), 16 * (2 * n_steps + 1), dtype=dtype)
     pm[:, 0] = 0
-    hist = np.empty((n_blocks, n_passes, spec.n_states), dtype=np.uint8)
+    hist = np.empty((n_blocks, n_passes, n_states), dtype=np.uint8)
     if head:
         _acs(pm, tables[head - 1], lead, hist[:, :1])
     _acs(pm, tables[-1], groups, hist[:, n_passes - len(groups):])
@@ -201,7 +201,6 @@ def viterbi_decode(coded, spec=DEFAULT_CODE):
     # matters.  high[byte] is the part of a pass's start state that the
     # survivor's tie rank, the byte's low four bits, encodes.
     high = [_bitrev(x, radix) << (m - radix) for x in range(16)] * 16
-    n_states = spec.n_states
     ends = np.empty((n_blocks, n_passes), np.min_scalar_type(n_states - 1))
     for block, block_ends in zip(hist, ends):
         survivors = memoryview(block.ravel())

@@ -13,7 +13,7 @@ identity.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft, ifft
@@ -32,28 +32,20 @@ class OfdmGrid:
     cp_len: int
     data_bins: np.ndarray
     pilot_bins: np.ndarray
-    active_bins: np.ndarray = field(repr=False, default=None)
-    # positions of data bins within the sorted active-bin list, for interpolation
-    data_positions: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         if set(self.data_bins) & set(self.pilot_bins):
             raise FramingError("data and pilot bins overlap")
         if self.cp_len * 4 != self.fft_size:
             raise FramingError("cyclic prefix must be 1/4 of the FFT size")
-        active = np.sort(np.concatenate([self.data_bins, self.pilot_bins]))
-        pos = {b: i for i, b in enumerate(active)}
-        arrays = {"data_bins": np.array(self.data_bins),
-                  "pilot_bins": np.array(self.pilot_bins),
-                  "active_bins": active,
-                  "data_positions": np.array([pos[b] for b in self.data_bins])}
-        for name, array in arrays.items():
+        for name in ("data_bins", "pilot_bins"):
+            array = np.array(getattr(self, name))
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
     @property
     def n_active(self):
-        return len(self.active_bins)
+        return len(self.data_bins) + len(self.pilot_bins)
 
     @property
     def symbol_len(self):

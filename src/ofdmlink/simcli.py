@@ -15,6 +15,7 @@ records both axes.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +94,10 @@ class SimConfig:
                 f"unknown receiver_mode {self.receiver_mode!r}")
         if not self.modulations:
             raise ConfigurationError("no modulation given")
-        for name in self.modulations:
-            constellation(name)
+        schemes = [constellation(name).name for name in self.modulations]
+        for i, scheme in enumerate(schemes):
+            if scheme in schemes[:i]:
+                raise ConfigurationError(f"modulation {scheme!r} given twice")
         # a pre-FFT equalizer longer than one OFDM symbol has no use, and
         # RngStream keys on the low 64 bits of the seed: wider seeds alias
         symbol_len = default_grid().symbol_len
@@ -103,6 +106,9 @@ class SimConfig:
                              ("lms_taps", 1, symbol_len),
                              ("training_symbols", 0, _MAX_TRAINING_SYMBOLS)):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}")
             if not lo <= value <= hi:
                 raise ConfigurationError(
                     f"{name} must be in {lo}..{hi}, got {value}")
@@ -312,9 +318,8 @@ def _known_channel_zf(cfg, rx, flat, pilots, taps, n_train, grid):
 def _pilot_fd_lms(cfg, rx, flat, pilots, taps, n_train, grid):
     """One-tap equalization by the LMS-tracked, interpolated pilot response."""
     data_rx, pilot_rx = disassemble(rx.reshape(len(pilots), -1), grid)
-    h_active = PilotLmsEstimator(grid, cfg.step_size).update(pilot_rx, pilots)
-    return equalize_one_tap(data_rx[n_train:],
-                            h_active[n_train:, grid.data_positions])
+    h = PilotLmsEstimator(grid, cfg.step_size).update(pilot_rx, pilots)
+    return equalize_one_tap(data_rx[n_train:], h[n_train:])
 
 
 def _pre_fft_lms(cfg, rx, flat, pilots, taps, n_train, grid):

@@ -10,8 +10,8 @@ from ofdmlink.errors import ConfigurationError, DivergenceError
 from ofdmlink.modem import constellation, map_bits
 from ofdmlink.ofdm import assemble, default_grid
 from ofdmlink.simcli import _MU_CANDIDATES
-from theory import (LmsState, instantaneous_covariance, lms_step,
-                    windowed_mse)
+from theory import (LmsState, data_bin_interp, instantaneous_covariance,
+                    lms_step, pilot_lms, windowed_mse)
 
 GRID = default_grid()
 
@@ -176,20 +176,21 @@ def test_pre_fft_table_channel_convergence():
 
 
 def test_pilot_estimator_flat_channel():
-    est = PilotLmsEstimator(GRID, 0.5)
     pilot_tx = np.ones(25, complex)
-    for _ in range(20):
-        h = est.update(2.0 * pilot_tx, pilot_tx)
-    assert np.max(np.abs(h - 2.0)) < 1e-3
+    h = PilotLmsEstimator(GRID, 0.5).update(np.full((20, 25), 2.0 + 0j),
+                                            pilot_tx)
+    assert h.shape == (20, 175)
+    assert np.max(np.abs(h[-1] - 2.0)) < 1e-3
 
 
 def test_pilot_estimator_one_step_mu_one():
-    est = PilotLmsEstimator(GRID, 1.0)
     rng = np.random.default_rng(9)
-    pilot_rx = rng.normal(size=25) + 1j * rng.normal(size=25)
-    pilot_tx = np.ones(25, complex)
-    est.update(pilot_rx, pilot_tx)
-    assert np.max(np.abs(np.conj(est.weights) - pilot_rx / pilot_tx)) < 1e-12
+    pilot_rx = rng.normal(size=(1, 25)) + 1j * rng.normal(size=(1, 25))
+    pilot_tx = np.exp(2j * np.pi * rng.random(25))
+    assert np.max(np.abs(pilot_lms(pilot_rx, pilot_tx, 1.0)
+                         - pilot_rx / pilot_tx)) < 1e-12
+    h = PilotLmsEstimator(GRID, 1.0).update(pilot_rx, pilot_tx)
+    assert np.max(np.abs(h - data_bin_interp(pilot_rx / pilot_tx, GRID))) < 1e-12
 
 
 def test_pilot_estimator_static_table_channel():
@@ -197,15 +198,14 @@ def test_pilot_estimator_static_table_channel():
     padded = np.zeros(256, complex)
     padded[:4] = taps
     h_true = fft(padded)
-    est = PilotLmsEstimator(GRID, 0.5)
     pilot_tx = np.ones(25, complex)
-    for _ in range(40):
-        h_active = est.update(h_true[GRID.pilot_bins] * pilot_tx, pilot_tx)
+    pilot_rx = np.tile(h_true[GRID.pilot_bins] * pilot_tx, (40, 1))
     # fixed point exact at the pilot bins
-    assert np.max(np.abs(np.conj(est.weights) - h_true[GRID.pilot_bins])) < 1e-3
+    pilot_est = pilot_lms(pilot_rx, pilot_tx, 0.5)[-1]
+    assert np.max(np.abs(pilot_est - h_true[GRID.pilot_bins])) < 1e-3
     # interpolation bias small on pilot-covered data bins; the few edge bins
     # extended by the nearest pilot value carry a larger, bounded error
-    h_data = h_active[GRID.data_positions]
+    h_data = PilotLmsEstimator(GRID, 0.5).update(pilot_rx, pilot_tx)[-1]
     rel = np.abs(h_data - h_true[GRID.data_bins]) / np.abs(h_true[GRID.data_bins])
     shifted = np.where(GRID.data_bins > 128, GRID.data_bins - 256, GRID.data_bins)
     pilot_shifted = np.where(GRID.pilot_bins > 128, GRID.pilot_bins - 256,
@@ -215,68 +215,58 @@ def test_pilot_estimator_static_table_channel():
     assert np.max(rel) < 0.25
 
 
-def _np_interp_estimate(pilot_estimates, grid):
-    """Pilot estimates to every active bin with np.interp on the
-    signed-frequency axis, real and imaginary parts apart."""
-    def signed(bins):
-        return np.where(bins > grid.fft_size // 2, bins - grid.fft_size, bins)
-
-    order = np.argsort(signed(grid.pilot_bins))
-    xp = signed(grid.pilot_bins)[order]
-    x = signed(grid.active_bins)
-    est = pilot_estimates[order]
-    return np.interp(x, xp, est.real) + 1j * np.interp(x, xp, est.imag)
-
-
-def _tracker_pilots(n_frames, seed, unit_tx=True):
+def _tracker_pilots(n_frames, seed, unit_tx=True, zeros=False):
     rng = np.random.default_rng(seed)
     rx = rng.normal(size=(n_frames, 25)) + 1j * rng.normal(size=(n_frames, 25))
-    if unit_tx:
-        return rx, np.ones((n_frames, 25), complex)
-    return rx, np.exp(2j * np.pi * rng.random((n_frames, 25)))
+    tx = (np.ones((n_frames, 25), complex) if unit_tx
+          else np.exp(2j * np.pi * rng.random((n_frames, 25))))
+    if zeros:
+        # exact zeros: whole values, then real-only and imaginary-only ones,
+        # and the lowest-frequency pilot (bin 160) silent in every other frame
+        rx[rng.random(rx.shape) < 0.2] = 0
+        rx.real[rng.random(rx.shape) < 0.2] = 0.0
+        rx.imag[rng.random(rx.shape) < 0.2] = 0.0
+        rx[::2, list(GRID.pilot_bins).index(160)] = 0
+        tx[rng.random(tx.shape) < 0.1] = 0
+    return rx, tx
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+@pytest.mark.parametrize("unit_tx", [True, False])
+@pytest.mark.parametrize("n_frames", [1, 37, 254])
+def test_update_is_np_interp_of_the_per_frame_oracle(n_frames, unit_tx, zeros):
+    pilot_rx, pilot_tx = _tracker_pilots(n_frames, n_frames, unit_tx, zeros)
+    h = PilotLmsEstimator(GRID, 0.7).update(pilot_rx, pilot_tx)
+    expected = data_bin_interp(pilot_lms(pilot_rx, pilot_tx, 0.7), GRID)
+    assert h.shape == (n_frames, len(GRID.data_bins))
+    assert np.array_equal(np.ascontiguousarray(h).view(np.uint64),
+                          expected.view(np.uint64))
+
+
+def test_update_starts_from_zero_weights_on_every_call():
+    pilot_rx, pilot_tx = _tracker_pilots(12, 4)
+    est = PilotLmsEstimator(GRID, 0.5)
+    first = est.update(pilot_rx, pilot_tx)
+    assert np.array_equal(est.update(pilot_rx, pilot_tx), first)
+    assert not hasattr(est, "weights") and not hasattr(est, "update_count")
 
 
 @pytest.mark.parametrize("unit_tx", [True, False])
-def test_update_interpolates_like_np_interp(unit_tx):
-    pilot_rx, pilot_tx = _tracker_pilots(30, 11, unit_tx)
-    est = PilotLmsEstimator(GRID, 0.7)
-    for rx, tx in zip(pilot_rx, pilot_tx):
-        h_active = est.update(rx, tx)
-        assert np.array_equal(h_active,
-                              _np_interp_estimate(np.conj(est.weights), GRID))
-
-
-@pytest.mark.parametrize("n_frames, unit_tx", [(1, True), (254, True),
-                                               (37, False)])
-def test_batched_update_matches_per_frame_loop(n_frames, unit_tx):
-    pilot_rx, pilot_tx = _tracker_pilots(n_frames, n_frames, unit_tx)
-    loop = PilotLmsEstimator(GRID, 0.5)
-    expected = np.array([loop.update(rx, tx) for rx, tx in zip(pilot_rx, pilot_tx)])
-    batch = PilotLmsEstimator(GRID, 0.5)
-    assert np.array_equal(batch.update(pilot_rx, pilot_tx), expected)
-    assert np.array_equal(batch.weights, loop.weights)
-    assert batch.update_count == loop.update_count == n_frames
-
-
-def test_batched_divergence_names_the_same_frame_and_bin():
-    pilot_rx, pilot_tx = _tracker_pilots(200, 5)
+def test_divergence_names_the_oracles_frame_and_bin(unit_tx):
+    pilot_rx, pilot_tx = _tracker_pilots(200, 5, unit_tx)
     pilot_rx[:, 7] *= 50.0  # bin 7 crosses the limit first
-    loop = PilotLmsEstimator(GRID, 2.5)
-    with pytest.raises(DivergenceError) as loop_exc:
-        for rx, tx in zip(pilot_rx, pilot_tx):
-            loop.update(rx, tx)
-    batch = PilotLmsEstimator(GRID, 2.5)
-    with pytest.raises(DivergenceError) as batch_exc:
-        batch.update(pilot_rx, pilot_tx)
-    assert 1 < batch_exc.value.step == loop_exc.value.step < 200
-    assert str(batch_exc.value) == str(loop_exc.value)
-    assert f"pilot bin {GRID.pilot_bins[7]}" in str(batch_exc.value)
-    assert np.array_equal(batch.weights, loop.weights)
+    with pytest.raises(DivergenceError) as oracle:
+        pilot_lms(pilot_rx, pilot_tx, 2.5)
+    with pytest.raises(DivergenceError) as kernel:
+        PilotLmsEstimator(GRID, 2.5).update(pilot_rx, pilot_tx)
+    assert 1 < kernel.value.step == oracle.value.step < 200
+    assert str(kernel.value) == str(oracle.value)
+    assert f"pilot bin {GRID.pilot_bins[7]}" in str(kernel.value)
 
 
-@pytest.mark.parametrize("shape", [(24,), (3, 26), (2, 3, 25)])
+@pytest.mark.parametrize("shape", [(25,), (24,), (3, 26), (2, 3, 25)])
 def test_update_rejects_wrong_pilot_shapes(shape):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="expected \\(n_frames, 25\\)"):
         PilotLmsEstimator(GRID, 0.5).update(np.ones(shape, complex), 1.0)
 
 

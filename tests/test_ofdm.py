@@ -32,11 +32,12 @@ def test_grid_layout():
     assert len(GRID.pilot_bins) == 25
     assert not set(GRID.data_bins) & set(GRID.pilot_bins)
     assert GRID.n_active == 200
-    assert 0 not in GRID.active_bins  # null DC
+    assert 0 not in GRID.data_bins and 0 not in GRID.pilot_bins  # null DC
+    assert not hasattr(GRID, "active_bins")
+    assert not hasattr(GRID, "data_positions")
 
 
-@pytest.mark.parametrize("field", ["data_bins", "pilot_bins", "active_bins",
-                                   "data_positions"])
+@pytest.mark.parametrize("field", ["data_bins", "pilot_bins"])
 def test_shared_grid_is_read_only(field):
     assert default_grid() is GRID
     with pytest.raises(ValueError):

@@ -16,7 +16,8 @@ from ofdmlink.ofdm import default_grid, equalize_one_tap
 from ofdmlink.simcli import (BerPoint, SimConfig, ebn0_from_esn0, emit_plot,
                              generate_source, parse_config, read_csv,
                              run_lms_trace, run_point, run_sweep)
-from theory import binomial_ci, q_function, reconstruct_sine
+from theory import (binomial_ci, data_bin_interp, pilot_lms, q_function,
+                    reconstruct_sine)
 
 
 def test_source_quarter_period_samples():
@@ -138,6 +139,36 @@ def test_config_accepts_the_largest_sizes():
     SimConfig(receiver_mode="pre_fft_lms", lms_taps=320, training_symbols=1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("seed", np.float64(3.0)),
+    ("n_bits", 800.0), ("n_bits", np.bool_(True)), ("lms_taps", 11.5),
+    ("training_symbols", 2.5), ("training_symbols", "2"),
+])
+def test_config_rejects_non_integer_sizes(field, value):
+    with pytest.raises(ConfigurationError,
+                       match=f"^{field} must be an integer, got "):
+        SimConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers(tmp_path):
+    cfg = SimConfig(seed=np.int64(5), n_bits=np.int32(800),
+                    lms_taps=np.uint8(11), training_symbols=np.int16(2),
+                    snr_grid_db=(4.0,))
+    run_sweep(cfg, tmp_path / "points.csv")
+    assert [p.seed for p in read_csv(tmp_path / "points.csv")] == [5]
+
+
+@pytest.mark.parametrize("modulations, scheme", [
+    (("qpsk", "QPSK"), "qpsk"),
+    (("16qam", "16-QAM"), "16qam"),
+    (("64qam", "qpsk", "64_qam"), "64qam"),
+])
+def test_config_rejects_a_repeated_modulation(modulations, scheme):
+    with pytest.raises(ConfigurationError,
+                       match=f"^modulation '{scheme}' given twice$"):
+        SimConfig(modulations=modulations)
+
+
 def test_config_rejects_filter_longer_than_pre_fft_training():
     with pytest.raises(ConfigurationError, match="training span of 0"):
         SimConfig(receiver_mode="pre_fft_lms", training_symbols=0)
@@ -211,6 +242,8 @@ _CONFIG_COMMANDS = [
     ("seed = 18446744073709551617",
      "seed must be in 0..18446744073709551615, got 18446744073709551617"),
     ("modulation = qpsk\nmodulation = 16qam", "key 'modulation' given twice"),
+    ("modulation = qpsk, QPSK", "modulation 'qpsk' given twice"),
+    ("modulation = 16qam, 16-QAM", "modulation '16qam' given twice"),
 ])
 def test_bad_config_fails_before_any_point(tmp_path, capsys, command,
                                            source_line, line, message):
@@ -226,6 +259,42 @@ def test_bad_config_fails_before_any_point(tmp_path, capsys, command,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ber-sweep", "lms-trace"])
+def test_out_that_is_a_file_fails_in_one_line(tmp_path, capsys, monkeypatch,
+                                              command):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("snr_start_db = 0\nsnr_stop_db = 0\nn_bits = 800\n")
+    out_file = tmp_path / "taken"
+    out_file.write_text("keep")
+    real_sweep, swept = simcli.run_sweep, []
+    monkeypatch.setattr(simcli, "run_sweep",
+                        lambda cfg: swept.append(cfg) or real_sweep(cfg))
+    assert cli.main([command, "--config", str(cfg),
+                     "--out", str(out_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out_file) in err
+    assert out_file.read_text() == "keep"
+    assert swept == []  # ber-sweep refuses it before any point runs
+
+
+def test_plot_to_a_missing_directory_fails_in_one_line(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("snr_start_db = 0\nsnr_stop_db = 0\nn_bits = 800\n")
+    assert cli.main(["ber-sweep", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    svg = tmp_path / "missing" / "x.svg"
+    assert cli.main(["plot", "--in", str(tmp_path / "out" / "points.csv"),
+                     "--out", str(svg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(svg) in err
+    assert not svg.parent.exists()
 
 
 def test_failed_sweep_leaves_no_output_directory(tmp_path, capsys):
@@ -418,15 +487,13 @@ def test_batched_rician_zf_matches_per_frame_loop():
 
 
 def _pilot_receiver_loop(data_rx, pilot_rx, grid, mu, n_train):
-    """Per-frame pilot receiver: update the estimator on every frame,
-    divide each payload frame by its own estimate."""
-    est = PilotLmsEstimator(grid, mu)
-    pilot_tx = np.ones(len(grid.pilot_bins), dtype=np.complex128)
+    """Per-frame pilot receiver: the oracle's pilot estimate after every
+    frame, interpolated with np.interp, divides each payload frame."""
+    h_data = data_bin_interp(
+        pilot_lms(pilot_rx, np.ones(len(grid.pilot_bins)), mu), grid)
     out = np.empty_like(data_rx[n_train:])
-    for i in range(len(data_rx)):
-        h_active = est.update(pilot_rx[i], pilot_tx)
-        if i >= n_train:
-            out[i - n_train] = data_rx[i] / h_active[grid.data_positions]
+    for i in range(n_train, len(data_rx)):
+        out[i - n_train] = data_rx[i] / h_data[i]
     return out
 
 
@@ -457,7 +524,7 @@ def test_batched_pilot_division_matches_per_frame_loop(monkeypatch):
     run_point(cfg, 20.0)
     data_rx, pilot_rx = captured["bins"]
     # run_point updates once on the whole (n_frames, n_pilot) batch; the
-    # oracle below updates frame by frame on (n_pilot,) vectors
+    # oracle below tracks and divides frame by frame
     assert update_shapes == [pilot_rx.shape]
     expected = _pilot_receiver_loop(data_rx, pilot_rx, default_grid(),
                                     cfg.step_size,

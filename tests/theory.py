@@ -1,5 +1,5 @@
-"""Test oracles: closed-form theory, reference statistics and the
-per-sample LMS update.
+"""Test oracles: closed-form theory, reference statistics, the per-sample
+LMS update and the per-frame pilot tracker.
 
 Nothing in the simulator calls these; the tests compare simulated results
 against them.  They live here so the package itself needs only numpy.
@@ -13,6 +13,7 @@ from scipy.special import erfc
 
 from ofdmlink.equalizer import _DIVERGENCE_LIMIT
 from ofdmlink.errors import ConfigurationError, DivergenceError
+from ofdmlink.ofdm import default_grid
 
 
 def q_function(x):
@@ -89,3 +90,43 @@ def lms_step(state, x, d):
     if not np.all(np.abs(state.weights) <= _DIVERGENCE_LIMIT):
         raise DivergenceError(state.update_count, state.step_size)
     return y, e
+
+
+def pilot_lms(pilot_rx, pilot_tx, step_size):
+    """Per-frame pilot tracking from zero weights: conj(w) after each frame,
+    (n_frames, n_pilot), for the default grid's pilot bins.
+
+    The oracle of ``equalizer.PilotLmsEstimator.update``, whose data-bin
+    estimates must be ``data_bin_interp`` of these to the bit.  A diverging tracker
+    raises DivergenceError naming its frame, counted from 1, and pilot bin.
+    """
+    frames_rx = np.atleast_2d(np.asarray(pilot_rx, dtype=np.complex128))
+    frames_tx = np.broadcast_to(
+        np.asarray(pilot_tx, dtype=np.complex128), frames_rx.shape)
+    step_tx = step_size * frames_tx
+    weights = np.zeros(frames_rx.shape[1], dtype=np.complex128)
+    estimates = np.empty(frames_rx.shape, dtype=np.complex128)
+    w_conj = np.conj(weights)
+    for n in range(len(frames_rx)):
+        e = frames_rx[n] - w_conj * frames_tx[n]
+        weights = weights + step_tx[n] * np.conj(e)
+        bad = np.abs(weights) > _DIVERGENCE_LIMIT
+        if bad.any():
+            raise DivergenceError(
+                n + 1, step_size,
+                detail=f"pilot bin {default_grid().pilot_bins[np.argmax(bad)]}",
+            )
+        w_conj = estimates[n] = np.conj(weights)
+    return estimates
+
+
+def data_bin_interp(pilot_estimates, grid):
+    """Per-frame pilot estimates, (n_frames, n_pilot), to every data bin with
+    np.interp on the signed-frequency axis, real and imaginary parts apart."""
+    def signed(bins):
+        return np.where(bins > grid.fft_size // 2, bins - grid.fft_size, bins)
+
+    order = np.argsort(signed(grid.pilot_bins))
+    xp, x = signed(grid.pilot_bins)[order], signed(grid.data_bins)
+    return np.array([np.interp(x, xp, est.real) + 1j * np.interp(x, xp, est.imag)
+                     for est in np.atleast_2d(pilot_estimates)[:, order]])
