@@ -35,13 +35,22 @@ def build_parser():
     return parser
 
 
+def _check_out_dir(out):
+    """Refuse an --out whose nearest existing path is not a directory, so
+    that a sweep or trace never runs only to fail in os.makedirs."""
+    path = out.rstrip(os.sep) or out
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise ConfigurationError(
+            f"--out {out}: {path} exists and is not a directory")
+
+
 def cmd_ber_sweep(args):
     cfg = simcli.load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ConfigurationError(
-            f"--out {args.out} exists and is not a directory")
+    _check_out_dir(args.out)
     # the sweep runs first, so a point that fails leaves no output directory
     points = simcli.run_sweep(cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -57,6 +66,7 @@ def cmd_ber_sweep(args):
 
 def cmd_lms_trace(args):
     cfg = simcli.load_config(args.config)
+    _check_out_dir(args.out)
     trace, mu, initial_mse = simcli.run_lms_trace(cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "lms_trace.csv")

@@ -61,8 +61,8 @@ MSE_WINDOW = 100
 # the longest SNR grid a config file may ask for
 _MAX_SNR_POINTS = 10_000
 # the largest point a config may ask for: a coded Rician pre-FFT LMS point,
-# the heaviest chain, peaks near 0.33 GB per 10^6 bits in its front half; a
-# coded sweep, which holds four points' bits for one decode, near 0.36 GB
+# the heaviest chain, peaks near 0.33 GB per 10^6 bits; a sweep runs its
+# points one at a time, so it peaks no higher than its largest point
 _MAX_N_BITS = 4_000_000
 # each training symbol adds 320 LMS updates to every pre-FFT point
 _MAX_TRAINING_SYMBOLS = 100
@@ -348,10 +348,13 @@ _RECEIVERS = {
 }
 
 
-def _front_half(cfg, snr_db, modulation, stream_id):
-    """Source, encode, map, transmit, channel, receiver and hard demap:
-    ``(info_bits, hard_bits, bits_per_symbol)``, with coded hard bits when
-    cfg.coding is cc_k7."""
+def run_point(cfg, snr_db, modulation=None, stream_id=0):
+    """Simulate one (SNR, modulation) point and return its BerPoint.
+
+    Source, encode, map, transmit, channel, receiver and hard demap, then
+    one Viterbi decode when cfg.coding is cc_k7, then the bit comparison.
+    """
+    modulation = modulation or cfg.modulations[0]
     spec = constellation(modulation)
     grid = default_grid()
     rng = RngStream(cfg.seed, stream_id)
@@ -378,35 +381,14 @@ def _front_half(cfg, snr_db, modulation, stream_id):
 
     # the pad symbols and pad bits carry no information
     hard_bits = demap_hard(data_vals.ravel()[: len(symbols)], spec)[: len(coded)]
-    return info_bits, hard_bits, k
-
-
-def _run_points(cfg, jobs, first_stream):
-    """The BerPoints of (modulation, snr_db) jobs on streams first_stream,
-    first_stream + 1, ...; coded points share one Viterbi call, which takes
-    their equal-length blocks as one stack."""
-    halves = [_front_half(cfg, snr, mod, first_stream + j)
-              for j, (mod, snr) in enumerate(jobs)]
-    decoded = [hard for _, hard, _ in halves]
-    if cfg.coding == "cc_k7":
-        decoded = viterbi_decode(np.stack(decoded))
-    return [BerPoint(
-        modulation=mod, channel=cfg.channel, coding=cfg.coding,
-        receiver_mode=cfg.receiver_mode, snr_db=float(snr),
-        ebn0_db=ebn0_from_esn0(snr, k, cfg.code_rate), bits=len(info),
-        errors=int(np.count_nonzero(rx_bits != info)), seed=cfg.seed,
-    ) for (mod, snr), (info, _, k), rx_bits in zip(jobs, halves, decoded)]
-
-
-def run_point(cfg, snr_db, modulation=None, stream_id=0):
-    """Simulate one (SNR, modulation) point and return its BerPoint."""
-    jobs = [(modulation or cfg.modulations[0], snr_db)]
-    return _run_points(cfg, jobs, stream_id)[0]
-
-
-# coded sweeps decode this many points per viterbi_decode call; the stacked
-# survivor history of a batch is as large as one int32 single-block history
-_DECODE_BATCH = 4
+    rx_bits = viterbi_decode(hard_bits) if cfg.coding == "cc_k7" else hard_bits
+    return BerPoint(
+        modulation=modulation, channel=cfg.channel, coding=cfg.coding,
+        receiver_mode=cfg.receiver_mode, snr_db=float(snr_db),
+        ebn0_db=ebn0_from_esn0(snr_db, k, cfg.code_rate),
+        bits=len(info_bits),
+        errors=int(np.count_nonzero(rx_bits != info_bits)), seed=cfg.seed,
+    )
 
 
 def run_sweep(cfg, csv_path=None):
@@ -414,21 +396,10 @@ def run_sweep(cfg, csv_path=None):
 
     Each point gets the RNG stream matching its index in the ordered
     (modulation, snr) product, so adding points never perturbs existing ones.
-    Coded points run in batches of up to _DECODE_BATCH that share one
-    Viterbi call: every point has n_bits information bits, so their
-    trellises have one length whatever the modulation.  Uncoded points have
-    no decode to share and go through run_point one at a time, so that a
-    tracer wrapping run_point still times their glue.
     """
     jobs = [(mod, snr) for mod in cfg.modulations for snr in cfg.snr_grid_db]
-    if cfg.coding == "none":
-        points = [run_point(cfg, snr, modulation=mod, stream_id=i)
-                  for i, (mod, snr) in enumerate(jobs)]
-    else:
-        points = []
-        for first in range(0, len(jobs), _DECODE_BATCH):
-            points += _run_points(cfg, jobs[first: first + _DECODE_BATCH],
-                                  first)
+    points = [run_point(cfg, snr, modulation=mod, stream_id=i)
+              for i, (mod, snr) in enumerate(jobs)]
     if csv_path is not None:
         write_csv(points, csv_path)
     return points

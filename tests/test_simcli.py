@@ -261,24 +261,33 @@ def test_bad_config_fails_before_any_point(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+def _count_runs(monkeypatch):
+    """Record each run_sweep and run_lms_trace call the CLI makes."""
+    runs = []
+    for name in ("run_sweep", "run_lms_trace"):
+        real = getattr(simcli, name)
+        monkeypatch.setattr(simcli, name, lambda cfg, real=real:
+                            runs.append(cfg) or real(cfg))
+    return runs
+
+
+@pytest.mark.parametrize("below", ["", "/", "/sub", "/sub/deeper/"])
 @pytest.mark.parametrize("command", ["ber-sweep", "lms-trace"])
 def test_out_that_is_a_file_fails_in_one_line(tmp_path, capsys, monkeypatch,
-                                              command):
+                                              command, below):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("snr_start_db = 0\nsnr_stop_db = 0\nn_bits = 800\n")
     out_file = tmp_path / "taken"
     out_file.write_text("keep")
-    real_sweep, swept = simcli.run_sweep, []
-    monkeypatch.setattr(simcli, "run_sweep",
-                        lambda cfg: swept.append(cfg) or real_sweep(cfg))
-    assert cli.main([command, "--config", str(cfg),
-                     "--out", str(out_file)]) == 1
+    runs = _count_runs(monkeypatch)
+    out_dir = f"{out_file}{below}"
+    assert cli.main([command, "--config", str(cfg), "--out", out_dir]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(out_file) in err
+    assert f"--out {out_dir}: {out_file} exists" in err
     assert out_file.read_text() == "keep"
-    assert swept == []  # ber-sweep refuses it before any point runs
+    assert runs == []  # refused before any point or trace runs
 
 
 def test_plot_to_a_missing_directory_fails_in_one_line(tmp_path, capsys):
@@ -677,10 +686,8 @@ def test_coded_sweep_points_equal_single_point_calls(receiver, channel,
         modulations=("qpsk", "16qam", "64qam"), channel=channel,
         coding="cc_k7", receiver_mode=receiver,
         snr_grid_db=(4.0, 12.0, 30.0), n_bits=800))
-    # nine single points, each a stack of one block, then the sweep's
-    # batches of 4 + 4 + 1 points, which mix modulations
-    n = 2 * (800 + 6)
-    assert shapes == [(1, n)] * 9 + [(4, n), (4, n), (1, n)]
+    # nine single points, then the sweep's nine: one block per decode
+    assert shapes == [(2 * (800 + 6),)] * 18
 
 
 # the modulations README's noiseless table (and, for the genie receiver,
