@@ -64,8 +64,9 @@ def equalize_pre_fft(rx, training, n_taps, step_size):
         raise ConfigurationError(f"n_taps must be >= 1, got {n_taps}")
     if len(training) < n_taps:
         raise ConfigurationError("training shorter than the filter")
-    if step_size <= 0:
-        raise ConfigurationError(f"step size must be > 0, got {step_size}")
+    if not (np.isfinite(step_size) and step_size > 0):
+        raise ConfigurationError(
+            f"step size must be > 0 and finite, got {step_size}")
 
     delay = n_taps // 2
     padded = np.pad(rx, (n_taps - 1, delay))
@@ -113,8 +114,9 @@ class PilotLmsEstimator:
     """
 
     def __init__(self, grid, step_size):
-        if step_size <= 0:
-            raise ConfigurationError(f"step size must be > 0, got {step_size}")
+        if not (np.isfinite(step_size) and step_size > 0):
+            raise ConfigurationError(
+                f"step size must be > 0 and finite, got {step_size}")
         self.grid = grid
         self.step_size = step_size
 
@@ -163,7 +165,7 @@ class PilotLmsEstimator:
             for d, x, step, h_next in zip(pilot_rx, pilot_tx, steps, h):
                 np.add(h_prev, step * (d - h_prev * x), out=h_next)
                 h_prev = h_next
-        bad = np.abs(h) > _DIVERGENCE_LIMIT
+        bad = ~(np.abs(h) <= _DIVERGENCE_LIMIT)  # a nan counts as diverged
         if bad.any():
             frame = int(np.argmax(bad.any(axis=1)))
             pilot_bin = self.grid.pilot_bins[np.argmax(bad[frame])]

@@ -7,6 +7,7 @@ stream, which keeps the uniform consumption rate fixed.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -26,9 +27,16 @@ class RngStream:
     def __init__(self, master_seed, stream_id=0):
         if stream_id < 0:
             raise ConfigurationError(f"stream_id must be >= 0, got {stream_id}")
+        # the seed is the low 64 bits of the Philox key: a wider one would alias
+        if (isinstance(master_seed, bool)
+                or not isinstance(master_seed, numbers.Integral)
+                or not 0 <= int(master_seed) <= 2**64 - 1):
+            raise ConfigurationError(
+                f"master_seed must be an integer in 0..{2**64 - 1}, "
+                f"got {master_seed!r}")
         self.master_seed = int(master_seed)
         self.stream_id = int(stream_id)
-        key = (self.master_seed & 0xFFFFFFFFFFFFFFFF) | (self.stream_id << 64)
+        key = self.master_seed | (self.stream_id << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def uniform(self, size=None):

@@ -99,7 +99,7 @@ class SimConfig:
             if scheme in schemes[:i]:
                 raise ConfigurationError(f"modulation {scheme!r} given twice")
         # a pre-FFT equalizer longer than one OFDM symbol has no use, and
-        # RngStream keys on the low 64 bits of the seed: wider seeds alias
+        # RngStream takes a seed of 64 bits
         symbol_len = default_grid().symbol_len
         for name, lo, hi in (("n_bits", 1, _MAX_N_BITS),
                              ("seed", 0, 2**64 - 1),

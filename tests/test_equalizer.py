@@ -264,6 +264,15 @@ def test_divergence_names_the_oracles_frame_and_bin(unit_tx):
     assert f"pilot bin {GRID.pilot_bins[7]}" in str(kernel.value)
 
 
+def test_nan_pilot_counts_as_divergence():
+    pilot_rx, pilot_tx = _tracker_pilots(12, 4)
+    pilot_rx[5, 3] = np.nan
+    with pytest.raises(DivergenceError) as exc:
+        PilotLmsEstimator(GRID, 0.5).update(pilot_rx, pilot_tx)
+    assert exc.value.step == 6
+    assert f"pilot bin {GRID.pilot_bins[3]}" in str(exc.value)
+
+
 @pytest.mark.parametrize("shape", [(25,), (24,), (3, 26), (2, 3, 25)])
 def test_update_rejects_wrong_pilot_shapes(shape):
     with pytest.raises(ConfigurationError, match="expected \\(n_frames, 25\\)"):
@@ -388,11 +397,20 @@ def test_pre_fft_memory_stays_per_symbol():
     assert peak < 10e6
 
 
-@pytest.mark.parametrize("step_size", [0.0, -1e-3])
+_BAD_STEPS = [0.0, -1e-3, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("step_size", _BAD_STEPS)
 def test_pre_fft_rejects_non_positive_step(step_size):
     tx = np.ones(10, complex)
     with pytest.raises(ConfigurationError, match="step size must be > 0"):
         equalize_pre_fft(tx, tx, 3, step_size)
+
+
+@pytest.mark.parametrize("step_size", _BAD_STEPS)
+def test_pilot_tracker_rejects_non_positive_step(step_size):
+    with pytest.raises(ConfigurationError, match="step size must be > 0"):
+        PilotLmsEstimator(GRID, step_size)
 
 
 @pytest.mark.parametrize("n_taps", [1, 11])

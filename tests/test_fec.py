@@ -141,7 +141,7 @@ def test_non_binary_rejected():
         viterbi_decode(word)
 
 
-@pytest.mark.parametrize("flip_rate", [0.05, 0.2, 0.5])
+@pytest.mark.parametrize("flip_rate", [0.05, 0.2, 0.5, 1.0])
 def test_matches_per_step_reference_every_length(flip_rate):
     rng = np.random.default_rng(4)
     for length in range(1, 41):
@@ -204,11 +204,42 @@ def test_failed_segment_check_reruns_and_stays_exact(monkeypatch):
     assert set(reruns) <= {length, 1000 - 1 - 15 * length}
 
 
-def test_clean_block_runs_no_single_row_pass(monkeypatch):
+# head is n_steps % 4: the head steps are a table lookup, not a pass
+@pytest.mark.parametrize("head", range(4))
+def test_clean_block_runs_no_single_row_pass(monkeypatch, head):
     calls = _count_single_row_passes(monkeypatch)
-    msg = np.random.default_rng(10).integers(0, 2, 4000 - 6).astype(np.uint8)
+    length = 4000 + head - DEFAULT_CODE.tail_bits
+    msg = np.random.default_rng(10).integers(0, 2, length).astype(np.uint8)
     assert np.array_equal(viterbi_decode(conv_encode(msg)), msg)
     assert calls == []
+
+
+# every state is reachable from the best one in 6 steps at a cost of at most
+# 12, so the renormalised metrics of a row span at most 16 * 12
+_METRIC_SPAN = 16 * 12
+
+
+@pytest.mark.parametrize("make", [
+    lambda word: word ^ 1,
+    lambda word: np.ones_like(word),
+    # every second run of 600 coded bits, longer than one ring chunk, flipped
+    lambda word: word ^ (np.arange(len(word)) // 600 % 2).astype(np.uint8),
+], ids=["all-flipped", "all-ones", "alternating-runs"])
+def test_metrics_stay_renormalised_on_adversarial_blocks(monkeypatch, make):
+    real = fec._acs
+    seen = []
+
+    def checking(pm, tab, groups, hist):
+        real(pm, tab, groups, hist)
+        assert pm.dtype == np.int32
+        assert (pm.min(axis=1) == 0).all()
+        assert pm.max() <= _METRIC_SPAN
+        seen.append(len(pm))
+    monkeypatch.setattr(fec, "_acs", checking)
+    msg = np.random.default_rng(11).integers(0, 2, 20000).astype(np.uint8)
+    noisy = make(conv_encode(msg))
+    assert np.array_equal(viterbi_decode(noisy), _reference_viterbi(noisy))
+    assert fec._SEGMENTS in seen  # the stacked passes ran under the check
 
 
 @pytest.mark.parametrize("message", [[2, 3, 0], [0, 1, -1], [0.5, 1.0]])

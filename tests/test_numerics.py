@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.fft import fft, ifft
 
+from ofdmlink.errors import ConfigurationError
 from ofdmlink.numerics import RngStream
 from theory import binomial_ci, q_function
 
@@ -89,6 +90,21 @@ def test_empty_draw_leaves_the_stream_unchanged():
     assert a.bits(0).size == 0
     assert np.array_equal(a.bits(1000), b.bits(1000))
     assert np.array_equal(a.normal(10), b.normal(10))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.0, 1.5, "1", True, None])
+def test_rng_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ConfigurationError, match="master_seed must be an integer"):
+        RngStream(seed)
+
+
+def test_rng_takes_every_64_bit_seed():
+    for seed in (0, np.uint64(2**64 - 1), np.int64(5)):
+        assert RngStream(seed).bits(64).size == 64
+    assert np.array_equal(RngStream(np.int64(5), 3).bits(256),
+                          RngStream(5, 3).bits(256))
+    assert not np.array_equal(RngStream(2**64 - 1).bits(256),
+                              RngStream(0).bits(256))
 
 
 def test_gaussian_moments():
