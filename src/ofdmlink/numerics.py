@@ -16,6 +16,15 @@ from .errors import ConfigurationError
 __all__ = ["RngStream"]
 
 
+def _uint64(name, value):
+    """value as an int; ConfigurationError unless an integer in 0..2**64 - 1."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 0 <= int(value) <= 2**64 - 1):
+        raise ConfigurationError(
+            f"{name} must be an integer in 0..{2**64 - 1}, got {value!r}")
+    return int(value)
+
+
 class RngStream:
     """One reproducible random stream of a seeded family.
 
@@ -25,17 +34,10 @@ class RngStream:
     """
 
     def __init__(self, master_seed, stream_id=0):
-        if stream_id < 0:
-            raise ConfigurationError(f"stream_id must be >= 0, got {stream_id}")
-        # the seed is the low 64 bits of the Philox key: a wider one would alias
-        if (isinstance(master_seed, bool)
-                or not isinstance(master_seed, numbers.Integral)
-                or not 0 <= int(master_seed) <= 2**64 - 1):
-            raise ConfigurationError(
-                f"master_seed must be an integer in 0..{2**64 - 1}, "
-                f"got {master_seed!r}")
-        self.master_seed = int(master_seed)
-        self.stream_id = int(stream_id)
+        # the seed is the low 64 bits of the Philox key and the stream id the
+        # high 64: a wider seed would alias, a wider id overflows the key
+        self.master_seed = _uint64("master_seed", master_seed)
+        self.stream_id = _uint64("stream_id", stream_id)
         key = self.master_seed | (self.stream_id << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 

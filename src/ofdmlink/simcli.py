@@ -16,6 +16,7 @@ records both axes.
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,12 @@ class SimConfig:
         if self.receiver_mode not in _RECEIVERS:
             raise ConfigurationError(
                 f"unknown receiver_mode {self.receiver_mode!r}")
+        # a bare name is a str, itself a sequence of one-letter names
+        if (isinstance(self.modulations, str)
+                or not isinstance(self.modulations, Sequence)):
+            raise ConfigurationError(
+                "modulations must be a sequence of names, "
+                f"got {type(self.modulations).__name__}")
         if not self.modulations:
             raise ConfigurationError("no modulation given")
         schemes = [constellation(name).name for name in self.modulations]
@@ -122,9 +129,16 @@ class SimConfig:
         if self.source == "sine" and self.n_bits % _PCM_BITS:
             raise ConfigurationError(
                 f"sine source: n_bits {self.n_bits} is not a multiple of 8")
+        if not isinstance(self.snr_grid_db, Sequence):
+            raise ConfigurationError(
+                "snr_grid_db must be a sequence of numbers, "
+                f"got {type(self.snr_grid_db).__name__}")
         if not self.snr_grid_db:
             raise ConfigurationError("empty SNR grid")
         for s in self.snr_grid_db:
+            if isinstance(s, bool) or not isinstance(s, numbers.Real):
+                raise ConfigurationError(
+                    f"SNR grid values must be real numbers, got {s!r}")
             if not math.isfinite(s):
                 raise ConfigurationError("SNR grid values must be finite")
 
@@ -464,7 +478,8 @@ def write_csv(points, path):
 
 
 def read_csv(path):
-    """Read a points CSV; a malformed row raises ConfigurationError naming
+    """Read a points CSV; a malformed row, or a ber that is not the row's
+    errors / bits as write_csv prints it, raises ConfigurationError naming
     the file and line."""
     lines = [(n, line.strip())
              for n, line in enumerate(_read_text(path).split("\n"), 1)
@@ -485,6 +500,7 @@ def read_csv(path):
                 snr_db=float(f[4]), ebn0_db=float(f[5]), bits=int(f[6]),
                 errors=int(f[7]), seed=int(f[9]),
             )
+            ber = float(f[8])
         except ValueError as exc:
             raise ConfigurationError(f"{where}: {exc}") from None
         if not (math.isfinite(p.snr_db) and math.isfinite(p.ebn0_db)):
@@ -496,6 +512,11 @@ def read_csv(path):
         if not 0 <= p.errors <= p.bits:
             raise ConfigurationError(
                 f"{where}: errors must be in 0..{p.bits}, got {p.errors}")
+        # write_csv prints the ratio to 6 significant digits
+        if ber != float(_fmt(p.ber)):
+            raise ConfigurationError(
+                f"{where}: ber must be errors / bits = {_fmt(p.ber)}, "
+                f"got {f[8]}")
         points.append(p)
     return points
 
@@ -511,6 +532,21 @@ _ML, _MR, _MT, _MB = 70, 20, 20, 50
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
+def _num(v):
+    """A page position: an int as given, a computed float to 0.01."""
+    return str(v) if isinstance(v, int) else f"{v:.2f}"
+
+
+def _line(x1, y1, x2, y2, stroke="black"):
+    return (f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" '
+            f'y2="{_num(y2)}" stroke="{stroke}" stroke-width="1"/>')
+
+
+def _text(x, y, body, anchor="middle", size=12, extra=""):
+    return (f'<text x="{_num(x)}" y="{_num(y)}" text-anchor="{anchor}" '
+            f'font-size="{size}" font-family="sans-serif"{extra}>{body}</text>')
+
+
 def emit_plot(points, path):
     """Semilog BER-vs-Eb/N0 plot, one series per (modulation, channel, coding).
 
@@ -522,14 +558,12 @@ def emit_plot(points, path):
     series = {}
     for p in points:
         series.setdefault((p.modulation, p.channel, p.coding), []).append(p)
-    for pts in series.values():
-        pts.sort(key=lambda p: p.ebn0_db)
 
-    def floor_of(p):
-        return 1.0 / (2.0 * p.bits)
+    def y_of(p):
+        return p.ber if p.errors else 1.0 / (2.0 * p.bits)
 
     xs = [p.ebn0_db for p in points]
-    ys = [p.ber if p.errors else floor_of(p) for p in points]
+    ys = [y_of(p) for p in points]
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -537,91 +571,50 @@ def emit_plot(points, path):
     y_hi = 10.0 ** math.ceil(math.log10(max(max(ys), 1e-12)))
     if y_hi <= y_lo:
         y_hi = y_lo * 10.0
+    l0, l1 = math.log10(y_lo), math.log10(y_hi)
 
     def px(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
     def py(y):
-        ly, l0, l1 = math.log10(y), math.log10(y_lo), math.log10(y_hi)
-        return _H - _MB - (ly - l0) / (l1 - l0) * (_H - _MT - _MB)
+        return _H - _MB - (math.log10(y) - l0) / (l1 - l0) * (_H - _MT - _MB)
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-    ]
-    # decade gridlines and y labels
-    decade = int(math.log10(y_lo))
-    while decade <= math.log10(y_hi) + 1e-9:
-        y = 10.0 ** decade
-        yy = py(y)
-        out.append(
-            f'<line x1="{_ML}" y1="{yy:.2f}" x2="{_W - _MR}" y2="{yy:.2f}" '
-            'stroke="#cccccc" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_ML - 8}" y="{yy + 4:.2f}" text-anchor="end" '
-            f'font-size="12" font-family="sans-serif">1e{decade}</text>'
-        )
-        decade += 1
-    # axes
-    out.append(
-        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    n_ticks = 6
-    for i in range(n_ticks):
-        x = x_lo + (x_hi - x_lo) * i / (n_ticks - 1)
-        xx = px(x)
-        out.append(
-            f'<line x1="{xx:.2f}" y1="{_H - _MB}" x2="{xx:.2f}" '
-            f'y2="{_H - _MB + 5}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{xx:.2f}" y="{_H - _MB + 20}" text-anchor="middle" '
-            f'font-size="12" font-family="sans-serif">{x:.3g}</text>'
-        )
-    out.append(
-        f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_H - 12}" '
-        'text-anchor="middle" font-size="13" font-family="sans-serif">'
-        'Eb/N0 (dB)</text>'
-    )
-    out.append(
-        f'<text x="16" y="{(_MT + _H - _MB) / 2:.2f}" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif" '
-        f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.2f})">BER</text>'
-    )
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
+           f'height="{_H}" viewBox="0 0 {_W} {_H}">',
+           f'<rect width="{_W}" height="{_H}" fill="white"/>']
+    # decade gridlines and y labels, axes, x ticks, axis titles
+    for decade in range(int(l0), math.floor(l1 + 1e-9) + 1):
+        y = py(10.0 ** decade)
+        out += [_line(_ML, y, _W - _MR, y, stroke="#cccccc"),
+                _text(_ML - 8, y + 4, f"1e{decade}", anchor="end")]
+    out += [_line(_ML, _MT, _ML, _H - _MB),
+            _line(_ML, _H - _MB, _W - _MR, _H - _MB)]
+    for i in range(6):
+        x = x_lo + (x_hi - x_lo) * i / 5
+        out += [_line(px(x), _H - _MB, px(x), _H - _MB + 5),
+                _text(px(x), _H - _MB + 20, f"{x:.3g}")]
+    y_mid = (_MT + _H - _MB) / 2
+    out += [_text((_ML + _W - _MR) / 2, _H - 12, "Eb/N0 (dB)", size=13),
+            _text(16, y_mid, "BER", size=13,
+                  extra=f' transform="rotate(-90 16 {_num(y_mid)})"')]
 
     for idx, (key, pts) in enumerate(sorted(series.items())):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = [(px(p.ebn0_db), py(p.ber if p.errors else floor_of(p)))
-                  for p in pts]
+        pts.sort(key=lambda p: p.ebn0_db)
+        coords = [(px(p.ebn0_db), py(y_of(p))) for p in pts]
         path_d = " ".join(f"{x:.2f},{y:.2f}" for x, y in coords)
-        out.append(
-            f'<polyline points="{path_d}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>'
-        )
+        out.append(f'<polyline points="{path_d}" fill="none" '
+                   f'stroke="{color}" stroke-width="1.5"/>')
         for p, (x, y) in zip(pts, coords):
-            if p.errors:
-                out.append(
-                    f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>'
-                )
-            else:
-                out.append(
-                    f'<path d="M {x:.2f} {y - 4:.2f} L {x + 4:.2f} {y:.2f} '
-                    f'L {x:.2f} {y + 4:.2f} L {x - 4:.2f} {y:.2f} Z" '
-                    f'fill="none" stroke="{color}" stroke-width="1.5"/>'
-                )
+            out.append(
+                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>'
+                if p.errors else
+                f'<path d="M {x:.2f} {y - 4:.2f} L {x + 4:.2f} {y:.2f} '
+                f'L {x:.2f} {y + 4:.2f} L {x - 4:.2f} {y:.2f} Z" '
+                f'fill="none" stroke="{color}" stroke-width="1.5"/>')
         label = "/".join(key).translate(_XML_ESCAPES)
-        out.append(
-            f'<text x="{_W - _MR - 8}" y="{_MT + 16 + 16 * idx}" '
-            f'text-anchor="end" font-size="12" font-family="sans-serif" '
-            f'fill="{color}">{label}</text>'
-        )
+        out.append(_text(_W - _MR - 8, _MT + 16 + 16 * idx, label,
+                         anchor="end", extra=f' fill="{color}"'))
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")

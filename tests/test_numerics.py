@@ -98,10 +98,18 @@ def test_rng_rejects_seeds_outside_64_bits(seed):
         RngStream(seed)
 
 
+@pytest.mark.parametrize("stream_id", [-1, 2**64, 2**64 + 5, 1.0, 1.5, "1", True,
+                                       np.bool_(True), None])
+def test_rng_rejects_stream_ids_outside_64_bits(stream_id):
+    with pytest.raises(ConfigurationError, match="stream_id must be an integer"):
+        RngStream(1, stream_id)
+
+
 def test_rng_takes_every_64_bit_seed():
     for seed in (0, np.uint64(2**64 - 1), np.int64(5)):
         assert RngStream(seed).bits(64).size == 64
-    assert np.array_equal(RngStream(np.int64(5), 3).bits(256),
+        assert RngStream(1, seed).bits(64).size == 64  # as a stream id too
+    assert np.array_equal(RngStream(np.int64(5), np.uint8(3)).bits(256),
                           RngStream(5, 3).bits(256))
     assert not np.array_equal(RngStream(2**64 - 1).bits(256),
                               RngStream(0).bits(256))

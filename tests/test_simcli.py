@@ -2,6 +2,7 @@ import hashlib
 import math
 import xml.dom.minidom
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,15 +176,28 @@ def test_config_rejects_filter_longer_than_pre_fft_training():
     SimConfig(receiver_mode="pilot_fd_lms", training_symbols=0)
 
 
-@pytest.mark.parametrize("modulations", [(), ("qpsk", "bogus")])
-def test_config_rejects_bad_modulations(modulations):
-    with pytest.raises(ConfigurationError):
+@pytest.mark.parametrize("modulations, message", [
+    ((), "^no modulation given$"),
+    (("qpsk", "bogus"), "^unknown modulation 'bogus'"),
+    ("qpsk", "^modulations must be a sequence of names, got str$"),
+    (5, "^modulations must be a sequence of names, got int$"),
+])
+def test_config_rejects_bad_modulations(modulations, message):
+    with pytest.raises(ConfigurationError, match=message):
         SimConfig(modulations=modulations)
 
 
-def test_config_rejects_empty_snr_grid():
-    with pytest.raises(ConfigurationError, match="empty SNR grid"):
-        SimConfig(snr_grid_db=())
+@pytest.mark.parametrize("grid, message", [
+    ((), "^empty SNR grid$"),
+    (5.0, "^snr_grid_db must be a sequence of numbers, got float$"),
+    (np.arange(3.0), "^snr_grid_db must be a sequence of numbers, got ndarray$"),
+    ((0, "x"), "^SNR grid values must be real numbers, got 'x'$"),
+    ((0.0, True), "^SNR grid values must be real numbers, got True$"),
+    ((0.0, float("inf")), "^SNR grid values must be finite$"),
+])
+def test_config_rejects_empty_snr_grid(grid, message):
+    with pytest.raises(ConfigurationError, match=message):
+        SimConfig(snr_grid_db=grid)
 
 
 def test_config_rejects_unknown_source():
@@ -777,6 +791,32 @@ def test_plot_escapes_legend_text(tmp_path, capsys):
     assert ">q&amp;a&lt;b/x&gt;y/none</text>" in text
 
 
+# sha256 of curves.svg, recorded before emit_plot drew every line and text
+# element through one helper each: the golden CSV (12 series, so the palette
+# wraps, with zero-error diamonds), a live two-modulation sweep, and one
+# 1-bit point whose Eb/N0 and BER ranges are both degenerate
+_CURVES_INPUTS = {
+    "golden": lambda: read_csv(Path(__file__).with_name("golden_points.csv")),
+    "sweep": lambda: run_sweep(SimConfig(
+        modulations=("qpsk", "16qam"), snr_grid_db=(0.0, 8.0, 16.0),
+        n_bits=4000, seed=5)),
+    "one_bit": lambda: [BerPoint("a&b<c", "awgn", "none", "known_channel_zf",
+                                 3.0, 3.0, 1, 1, 1)],
+}
+_CURVES_SHA256 = {
+    "golden": "77f5f197733e8cf0f7eb8e18ba526637d77c700cf5de6cf461cb6238293d9a08",
+    "sweep": "547d63a561c702a174d84ac649597d10a4788a47c2a55b0b6f20d288e85622bc",
+    "one_bit": "8691ad18dcd70a91ca4dcee20a34ea2071759e9ad0fc08d3bbf0b28e9aa3a608",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CURVES_SHA256))
+def test_curves_svg_pinned(tmp_path, name):
+    path = tmp_path / "curves.svg"
+    emit_plot(_CURVES_INPUTS[name](), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _CURVES_SHA256[name]
+
+
 def test_plot_floor_rule():
     p = BerPoint("qpsk", "awgn", "none", "known_channel_zf",
                  8.0, 5.0, 200_000, 0, 1)
@@ -826,6 +866,10 @@ _GOOD_ROW = "qpsk,awgn,none,known_channel_zf,0,-3.0103,100,3,0.03,1"
      "errors must be in 0..100, got 101"),
     ("qpsk,awgn,none,known_channel_zf,0,-3,100,-1,0,1",
      "errors must be in 0..100, got -1"),
+    ("qpsk,awgn,none,known_channel_zf,0,-3,100,5,banana,1",
+     "could not convert string to float: 'banana'"),
+    ("qpsk,awgn,none,known_channel_zf,0,-3,100,5,0.9,1",
+     "ber must be errors / bits = 0.05, got 0.9"),
 ])
 def test_plot_rejects_malformed_csv_rows(tmp_path, capsys, row, message):
     csv = tmp_path / "points.csv"
