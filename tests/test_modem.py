@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -239,3 +240,49 @@ def test_shared_constellation_is_read_only(field):
     assert constellation(" 16-QAM ") is spec
     with pytest.raises(ValueError):
         getattr(spec, field)[0] = 0
+
+
+def pinned_draw(spec):
+    """Seeded noisy symbols at three noise levels, built from bits so that
+    the draw does not depend on the order the points are stored in."""
+    rng = np.random.default_rng(20261019)
+    n = 3000
+    clean = map_bits(rng.integers(0, 2, 3 * n * spec.bits_per_symbol), spec)
+    sigma = np.repeat([0.02, 0.1, 0.5], n)
+    return clean + sigma * (rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n))
+
+
+# sha256 of map_bits over every label, in ascending order, and of demap_hard
+# on pinned_draw, recorded before the constellations were stored in label order
+_MODEM_SHA256 = {
+    "qpsk": ("66a2a69f17e7e33124f0bd80e88ca77c28edb4d8c8dfba38e4659b5168a4948c",
+             "df839b2876a5077a4bcf118543deaab65e945f6e2780536578b849da88c1e78a"),
+    "16psk": ("e209186c061380982ceb2e80399bd974bcf5d4225979d9af1e27e2260824a3b9",
+              "97ad466bf05119c5b86a321a40d6f8a2dabdce5c4d1ecd5d84f6cbd83c2d26e8"),
+    "64psk": ("ab1d3ee5117be8a5e355f187039a29b062f498058ca117b592758b144918e7f9",
+              "001e096b8f6cefc131e54ca785c3ca56d371919c57e0870acbb4ebf06099a4dc"),
+    "256psk": ("935a3e020268b70c9270c7314f616427abc6d1a7fcb9336e38b521a3cd03f7a0",
+               "b294509b3763943942966ef370fa2c62c3040dbb9deba252df6f377df40e86df"),
+    "16qam": ("699fba4b7ac8e9cbd1ab323653e03e52682d97dfeb6d69d1a88a1c5731d29978",
+              "eafb3a25ede168ea6b8848c87fda5adf6c2ef0e18dff8c79f8ea729b9009dd3a"),
+    "64qam": ("a437f50a50265c917d64864d3c1686189667c20ea13567af148c78ea5a3c435c",
+              "79b6984ffc8675fcf47b60f1c17a5095bf26a21d4b688085270e42790f08407b"),
+    "256qam": ("4ee4ee1ffd32bdd75e38e511f05d80a58b6122a75e7a1c2a35867ee4d5442fd4",
+               "112dd857bf216f344930899015e5b0501576f2e88f124997d888d2d40f570d5d"),
+}
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_pinned_draw_has_no_near_tie(name):
+    spec = constellation(name)
+    d2 = np.sort(np.abs(pinned_draw(spec)[:, None] - spec.points) ** 2, axis=1)
+    assert np.all(d2[:, 1] - d2[:, 0] > 1e-9 * d2[:, 1])
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_modem_bytes_pinned(name):
+    spec = constellation(name)
+    mapped = map_bits(all_label_bits(spec), spec).tobytes()
+    demapped = demap_hard(pinned_draw(spec), spec).tobytes()
+    got = tuple(hashlib.sha256(b).hexdigest() for b in (mapped, demapped))
+    assert got == _MODEM_SHA256[name]
