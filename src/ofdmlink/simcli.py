@@ -136,11 +136,7 @@ class SimConfig:
         if not self.snr_grid_db:
             raise ConfigurationError("empty SNR grid")
         for s in self.snr_grid_db:
-            if isinstance(s, bool) or not isinstance(s, numbers.Real):
-                raise ConfigurationError(
-                    f"SNR grid values must be real numbers, got {s!r}")
-            if not math.isfinite(s):
-                raise ConfigurationError("SNR grid values must be finite")
+            _check_snr("SNR grid value", s)
 
     @property
     def code_rate(self):
@@ -151,6 +147,14 @@ class SimConfig:
         """lms_mu, or the receiver's default if unset (None for the genie)."""
         default = _RECEIVERS[self.receiver_mode].default_mu
         return self.lms_mu if self.lms_mu > 0 else default
+
+
+def _check_snr(what, value):
+    """Reject an SNR that is not a finite real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{what} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be finite, got {value!r}")
 
 
 def _check_training_span(cfg):
@@ -223,8 +227,7 @@ def parse_config(text):
     bounds = {key: parsed(key, float) if key in raw else default
               for key, default in _SNR_DEFAULTS.items()}
     for key, value in bounds.items():
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{key} must be finite, got {value}")
+        _check_snr(key, value)
     start, stop, step = bounds.values()
     if step <= 0:
         raise ConfigurationError("snr_step_db must be > 0")
@@ -368,6 +371,7 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
     Source, encode, map, transmit, channel, receiver and hard demap, then
     one Viterbi decode when cfg.coding is cc_k7, then the bit comparison.
     """
+    _check_snr("snr_db", snr_db)
     modulation = modulation or cfg.modulations[0]
     spec = constellation(modulation)
     grid = default_grid()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ofdmlink.errors import FramingError
+from ofdmlink.errors import ConfigurationError, FramingError
 from ofdmlink.modem import constellation, demap_hard, map_bits
 
 ALL_SCHEMES = ("qpsk", "16psk", "64psk", "256psk", "16qam", "64qam", "256qam")
@@ -22,13 +22,13 @@ def all_label_bits(spec):
 
 
 def nearest_point_oracle(symbol, spec):
-    """Independent exhaustive nearest-neighbor search."""
-    best_idx, best_d2 = 0, float("inf")
-    for i, pt in enumerate(spec.points):
+    """Independent exhaustive nearest-neighbor search: the winning label."""
+    best_label, best_d2 = 0, float("inf")
+    for label, pt in enumerate(spec.points):
         d2 = (symbol.real - pt.real) ** 2 + (symbol.imag - pt.imag) ** 2
         if d2 < best_d2:
-            best_idx, best_d2 = i, d2
-    return spec.labels[best_idx]
+            best_label, best_d2 = label, d2
+    return best_label
 
 
 @pytest.mark.parametrize("name", ALL_SCHEMES)
@@ -38,16 +38,18 @@ def test_unit_mean_energy(name):
 
 
 @pytest.mark.parametrize("name", ALL_SCHEMES)
-def test_labels_bijection(name):
+def test_points_distinct(name):
     spec = constellation(name)
-    assert sorted(spec.labels.tolist()) == list(range(spec.order))
+    assert len(spec.points) == spec.order
+    assert len(set(spec.points.tolist())) == spec.order
 
 
 @pytest.mark.parametrize("name", ("qpsk", "16psk", "64psk", "256psk"))
 def test_psk_gray_ring_adjacency(name):
     spec = constellation(name)
+    labels = np.argsort(np.angle(spec.points))  # ring order
     for k in range(spec.order):
-        diff = spec.labels[k] ^ spec.labels[(k + 1) % spec.order]
+        diff = labels[k] ^ labels[(k + 1) % spec.order]
         assert bin(diff).count("1") == 1
 
 
@@ -55,7 +57,8 @@ def test_psk_gray_ring_adjacency(name):
 def test_qam_gray_grid_adjacency(name):
     spec = constellation(name)
     side = int(round(np.sqrt(spec.order)))
-    labels = spec.labels.reshape(side, side)
+    # row by I level, column by Q level, each ascending
+    labels = np.lexsort((spec.points.imag, spec.points.real)).reshape(side, side)
     for i in range(side):
         for q in range(side):
             if i + 1 < side:
@@ -90,6 +93,13 @@ def test_round_trip_exhaustive(name):
     assert np.array_equal(demap_hard(map_bits(bits, spec), spec), bits)
 
 
+@pytest.mark.parametrize("name", [5, None, b"qpsk"])
+def test_constellation_rejects_a_name_that_is_not_str(name):
+    with pytest.raises(ConfigurationError,
+                       match=f"^modulation must be a name, got {name!r}$"):
+        constellation(name)
+
+
 def test_map_rejects_indivisible_bits():
     with pytest.raises(FramingError):
         map_bits(np.array([0, 1, 0]), constellation("qpsk"))
@@ -119,9 +129,9 @@ def test_demapper_matches_exhaustive_oracle(name):
 
 def exhaustive_labels(symbols, spec):
     """The demapper's documented rule: argmin over the full float distance
-    matrix, ties to the lowest point index."""
+    matrix, ties to the lowest label."""
     d2 = np.abs(symbols[:, None] - spec.points[None, :]) ** 2
-    return spec.labels[np.argmin(d2, axis=1)]
+    return np.argmin(d2, axis=1)
 
 
 def demapped_labels(symbols, spec):
@@ -142,11 +152,10 @@ def assert_matches_oracles(symbols, spec):
     hypot, and the two round such ties differently)."""
     got = demapped_labels(symbols, spec)
     assert np.array_equal(got, exhaustive_labels(symbols, spec))
-    point_of = {label: spec.points[i] for i, label in enumerate(spec.labels)}
     for s, label in zip(symbols, got):
         want = nearest_point_oracle(s, spec)
         if label != want:
-            a, b = exact_d2(s, point_of[label]), exact_d2(s, point_of[want])
+            a, b = exact_d2(s, spec.points[label]), exact_d2(s, spec.points[want])
             assert abs(a - b) <= Fraction(1, 10**15) * max(a, b), (s, label, want)
 
 
@@ -156,8 +165,7 @@ def _neighbours(x):
 
 def _grid_levels(spec):
     """The distinct I and Q levels of a square grid, ascending."""
-    side = len(spec.cell_index)
-    return [np.sort(axis)[::side] for axis in (spec.points.real, spec.points.imag)]
+    return [np.unique(axis) for axis in (spec.points.real, spec.points.imag)]
 
 
 def _sector_edges(spec):
@@ -168,18 +176,23 @@ def _sector_edges(spec):
 _ORIGIN = np.array([0.0, complex(-0.0, 0.0), complex(0.0, -0.0),
                     complex(-0.0, -0.0), 1e-300, -1e-300, 1e-300j, -1e-300j,
                     complex(1e-300, -1e-300), np.nan, np.inf, complex(0, -np.inf)])
+# points on the axes with a signed zero: QPSK's sector edges, exactly
+_AXES = np.array([complex(x, z) for x in (0.05, 0.5, 1.0, 3.0, 20.0)
+                  for z in (0.0, -0.0)])
+_AXES = np.concatenate([_AXES, -_AXES, 1j * _AXES, -1j * _AXES])
 
 
 def boundary_symbols(spec):
-    """Exact decision edges and their float neighbours, plus the origin."""
-    parts = [_ORIGIN]
-    if spec.cell_index is not None:  # square QAM and QPSK: per-axis midpoints
+    """Exact decision edges and their float neighbours, plus the origin and
+    the axes."""
+    parts = [_ORIGIN, _AXES]
+    if spec.family == "qam":  # per-axis midpoints
         axes = []
         for levels in _grid_levels(spec):
             axes.append(_neighbours(np.concatenate(
                 [(levels[:-1] + levels[1:]) / 2, levels])))
         parts.append((axes[0][:, None] + 1j * axes[1][None, :]).ravel())
-    if spec.family == "psk":  # sector edges on and off the unit ring
+    else:  # sector edges on and off the unit ring
         for radius in (1e-300, 0.05, 1.0, 20.0):
             z = radius * np.exp(1j * _sector_edges(spec))
             parts += [z, np.nextafter(z.real, -np.inf) + 1j * z.imag,
@@ -200,8 +213,7 @@ def near_boundary(draw, spec):
     """A symbol a few ulps to a few 1e-9 cells from a decision edge."""
     ulps = draw(st.integers(-4, 4))
     shift = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 2e-9, -2e-9]))
-    on_grid = spec.family == "qam" or spec.cell_index is not None and draw(st.booleans())
-    if on_grid:
+    if spec.family == "qam":
         levels = _grid_levels(spec)
         axis = draw(st.integers(0, 1))
         j = draw(st.integers(0, len(levels[axis]) - 2))
@@ -232,14 +244,12 @@ def test_demapper_near_boundaries_matches_oracles(name, data):
     assert_matches_oracles(symbols, spec)
 
 
-@pytest.mark.parametrize("field", ["points", "labels", "point_of_label",
-                                   "cell_index"])
-def test_shared_constellation_is_read_only(field):
+def test_shared_constellation_is_read_only():
     spec = constellation("16qam")
     assert constellation("16qam") is spec
     assert constellation(" 16-QAM ") is spec
     with pytest.raises(ValueError):
-        getattr(spec, field)[0] = 0
+        spec.points[0] = 0
 
 
 def pinned_draw(spec):

@@ -181,6 +181,7 @@ def test_config_rejects_filter_longer_than_pre_fft_training():
     (("qpsk", "bogus"), "^unknown modulation 'bogus'"),
     ("qpsk", "^modulations must be a sequence of names, got str$"),
     (5, "^modulations must be a sequence of names, got int$"),
+    ((5,), "^modulation must be a name, got 5$"),
 ])
 def test_config_rejects_bad_modulations(modulations, message):
     with pytest.raises(ConfigurationError, match=message):
@@ -191,9 +192,9 @@ def test_config_rejects_bad_modulations(modulations, message):
     ((), "^empty SNR grid$"),
     (5.0, "^snr_grid_db must be a sequence of numbers, got float$"),
     (np.arange(3.0), "^snr_grid_db must be a sequence of numbers, got ndarray$"),
-    ((0, "x"), "^SNR grid values must be real numbers, got 'x'$"),
-    ((0.0, True), "^SNR grid values must be real numbers, got True$"),
-    ((0.0, float("inf")), "^SNR grid values must be finite$"),
+    ((0, "x"), "^SNR grid value must be a real number, got 'x'$"),
+    ((0.0, True), "^SNR grid value must be a real number, got True$"),
+    ((0.0, float("inf")), "^SNR grid value must be finite, got inf$"),
 ])
 def test_config_rejects_empty_snr_grid(grid, message):
     with pytest.raises(ConfigurationError, match=message):
@@ -622,6 +623,25 @@ def test_pilot_receiver_within_its_estimate_noise_of_the_genie(snr_db):
 def test_run_point_deterministic():
     cfg = SimConfig(n_bits=8000)
     assert run_point(cfg, 6.0) == run_point(cfg, 6.0)
+
+
+@pytest.mark.parametrize("snr_db, message", [
+    (float("nan"), "^snr_db must be finite, got nan$"),
+    (float("inf"), "^snr_db must be finite, got inf$"),
+    (float("-inf"), "^snr_db must be finite, got -inf$"),
+    (True, "^snr_db must be a real number, got True$"),
+    ("6", "^snr_db must be a real number, got '6'$"),
+    (6 + 0j, r"^snr_db must be a real number, got \(6\+0j\)$"),
+])
+def test_run_point_rejects_bad_snr(snr_db, message):
+    with pytest.raises(ConfigurationError, match=message):
+        run_point(SimConfig(n_bits=800), snr_db)
+
+
+@pytest.mark.parametrize("snr_db", [6, np.float64(6.0), np.int64(6)])
+def test_run_point_takes_any_real_snr(snr_db):
+    cfg = SimConfig(n_bits=800)
+    assert run_point(cfg, snr_db) == run_point(cfg, 6.0)
 
 
 def test_run_point_noiseless_ideal_receiver():
