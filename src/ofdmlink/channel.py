@@ -74,12 +74,17 @@ def add_awgn(signal, esn0_db, signal_power, rng):
     """Add circular complex Gaussian noise at the requested Es/N0.
 
     Total noise variance per complex sample is signal_power / 10^(esn0/10),
-    split equally between the quadratures.
+    split equally between the quadratures.  The noise is scaled in place on
+    its float lanes and the signal added into it: the bits of
+    ``signal + noise * sqrt(sigma2)``, up to the sign of an exact zero.
     """
     signal = np.asarray(signal, dtype=np.complex128)
     sigma2 = signal_power * 10.0 ** (-esn0_db / 10.0)
-    noise = rng.complex_normal(signal.size) * np.sqrt(sigma2)
-    return signal + noise.reshape(signal.shape)
+    noise = rng.complex_normal(signal.size).reshape(signal.shape)
+    lanes = noise.view(np.float64)
+    lanes *= np.sqrt(sigma2)
+    noise += signal
+    return noise
 
 
 def static_multipath(signal, taps):
@@ -89,41 +94,67 @@ def static_multipath(signal, taps):
     return np.convolve(signal, taps)[: signal.size]
 
 
-def _jakes_process(n_samples, doppler_norm, rng):
-    """Unit-power complex process with Jakes Doppler spectrum.
+def _jakes_process(n_taps, n_samples, doppler_norm, rng):
+    """n_taps unit-power complex processes with Jakes Doppler spectrum,
+    shape (n_taps, n_samples): a view of one (n_taps, Q * B) buffer.
 
     The sum-of-sinusoids model of Zheng & Xiao (IEEE Trans. Commun. 51(6),
     2003), g(t) = sum_k exp(j(w_k t + phi_k)) / sqrt(32) with
-    w_k = 2 pi f_d cos(alpha_k), has a phase linear in t.  With t = B q + r
-    and B = max(1, isqrt(n)), each term is A[q, k] C[k, r], where
-    A = exp(j(outer(B q, w) + phi)) has shape (ceil(n / B), 32) and
-    C = exp(j outer(w, r)) has shape (32, B).  So g = (A @ C).ravel()[:n]
-    / sqrt(32) takes about 64 sqrt(n) exponentials instead of 32 n.
+    w_k = 2 pi f_d cos(alpha_k), has a phase linear in t.  With t = B q + r,
+    each term is A[q, k] C[k, r], where A = exp(j(w_k B q + phi_k)) has
+    shape (Q, 32) and C = exp(j w_k r) has shape (32, B); so g is the
+    product A @ C read row by row.  Each factor is again a phasor product:
+    with q = a q1 + q0, A[q, k] = exp(j(w_k B a q1 + phi_k)) exp(j w_k B q0),
+    and with B = b * b and r = b r1 + r0, C[k, r] = exp(j w_k b r1)
+    exp(j w_k r0).  The four tables have about n^(1/4) rows each, so a tap
+    takes about 128 n^(1/4) exponentials instead of 32 n.  One matmul
+    evaluates every tap, and the 1/sqrt(32) runs in place on the float
+    lanes.  One call draws the 64 uniforms of each tap in turn, alpha then
+    phi.
     """
-    alpha = rng.uniform(_N_SINUSOIDS) * 2 * np.pi
-    phi = rng.uniform(_N_SINUSOIDS) * 2 * np.pi
-    w = 2 * np.pi * doppler_norm * np.cos(alpha)
-    block = max(1, math.isqrt(n_samples))
-    starts = np.arange(-(-n_samples // block)) * block
-    a = np.exp(1j * (np.outer(starts, w) + phi))
-    c = np.exp(1j * np.outer(w, np.arange(block)))
-    return (a @ c).ravel()[:n_samples] / np.sqrt(_N_SINUSOIDS)
+    u = rng.uniform(n_taps * 2 * _N_SINUSOIDS).reshape(n_taps, 2, 1, -1)
+    alpha = u[:, 0] * 2 * np.pi
+    phi = u[:, 1] * 2 * np.pi
+    w = 2 * np.pi * doppler_norm * np.cos(alpha)  # (n_taps, 1, 32)
+
+    def phasors(count, stride, phase=0.0):
+        """exp(j(w_k stride s + phase_k)) for s < count: (n_taps, count, 32)."""
+        return np.exp(1j * (w * (stride * np.arange(count)[:, None]) + phase))
+
+    def product(coarse, fine):
+        """Row c * len(fine) + f is coarse[c] * fine[f]."""
+        return (coarse[:, :, None] * fine[:, None]).reshape(
+            n_taps, -1, _N_SINUSOIDS)
+
+    b = max(1, math.isqrt(math.isqrt(n_samples)))
+    block = b * b
+    rows = -(-n_samples // block)
+    a = max(1, math.isqrt(rows))
+    factor_a = product(phasors(-(-rows // a), block * a, phi),
+                       phasors(a, block))[:, :rows]
+    factor_c = product(phasors(b, b), phasors(b, 1)).transpose(0, 2, 1)
+    g = np.matmul(factor_a, factor_c)
+    lanes = g.view(np.float64)
+    lanes *= 1 / np.sqrt(_N_SINUSOIDS)
+    return g.reshape(n_taps, -1)[:, :n_samples]
 
 
 def rician_taps(cfg, n_samples, rng):
     """Draw one fading realization of a Rician cfg: per-tap trajectories of
-    length n_samples."""
+    length n_samples, scaled in place on the float lanes of the Jakes
+    processes (the bits of |taps| * (los + diffuse * g), up to the sign of
+    an exact zero)."""
     if cfg.kind != "rician":
         raise ConfigurationError(f"not a rician channel: {cfg.kind!r}")
     k = cfg.k_factor
     los = np.sqrt(k / (k + 1.0))
     diffuse = np.sqrt(1.0 / (k + 1.0))
     doppler_norm = cfg.doppler_hz / SAMPLE_RATE_HZ
-    g = np.array([_jakes_process(n_samples, doppler_norm, rng)
-                  for _ in UNIT_TAPS])
-    g *= diffuse  # |taps| * (los + diffuse * g), the same bits, in place
-    g += los
-    g *= np.abs(UNIT_TAPS)[:, None]
+    g = _jakes_process(len(UNIT_TAPS), n_samples, doppler_norm, rng)
+    lanes = g.view(np.float64)
+    lanes *= diffuse
+    g.real += los
+    lanes *= np.abs(UNIT_TAPS)[:, None]
     return ChannelRealization(g)
 
 
@@ -135,7 +166,10 @@ def apply_fading(signal, realization):
         raise FramingError(
             f"trajectory length {traj.shape[1]} < signal length {signal.size}"
         )
-    out = np.zeros(signal.size, dtype=np.complex128)
-    for l in range(traj.shape[0]):
-        out[l:] += traj[l, l : signal.size] * signal[: signal.size - l]
+    n = signal.size
+    out = np.zeros(n, dtype=np.complex128)
+    product = np.empty(n, dtype=np.complex128)
+    for l in range(min(traj.shape[0], n)):
+        np.multiply(traj[l, l:n], signal[: n - l], out=product[: n - l])
+        out[l:] += product[: n - l]
     return out

@@ -49,16 +49,32 @@ class RngStream:
         """n equiprobable 0/1 bits."""
         return self._gen.integers(0, 2, size=n, dtype=np.uint8)
 
-    def normal(self, n):
-        """n independent standard normals (vectorized Box-Muller)."""
+    def normal(self, n, out=None):
+        """n independent standard normals (vectorized Box-Muller): r cos(theta)
+        for the first (n + 1) // 2, then r sin(theta).
+
+        With out, a float64 array of shape (2, (n + 1) // 2), the cosines go
+        to out[0] and the sines to out[1], and out is returned.
+        """
         half = (n + 1) // 2
-        u = self._gen.random((2, half))
-        r = np.sqrt(-2.0 * np.log1p(-u[0]))
-        theta = 2.0 * np.pi * u[1]
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
-        return out[:n]
+        r, theta = self._gen.random((2, half))
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta *= 2.0 * np.pi
+        pair = np.empty((2, half)) if out is None else out
+        np.cos(theta, out=pair[0])
+        np.sin(theta, out=pair[1])
+        pair *= r
+        return pair if out is not None else pair.reshape(-1)[:n]
 
     def complex_normal(self, n):
-        """n circular complex Gaussians with unit total variance."""
-        z = self.normal(2 * n)
-        return (z[:n] + 1j * z[n:]) / math.sqrt(2.0)
+        """n circular complex Gaussians with unit total variance: the first
+        n normals of normal(2 n) on the real lanes, the other n on the
+        imaginary lanes, scaled by 1/sqrt(2) in place."""
+        z = np.empty(n, dtype=np.complex128)
+        lanes = z.view(np.float64)
+        self.normal(2 * n, out=lanes.reshape(n, 2).T)
+        lanes *= 1 / math.sqrt(2.0)  # numpy's complex / real: times 1 / real
+        return z

@@ -90,8 +90,12 @@ def assemble(data_symbols, pilot_symbols, grid):
     freq = np.zeros(data_symbols.shape[:-1] + (grid.fft_size,), dtype=np.complex128)
     freq[..., grid.data_bins] = data_symbols
     freq[..., grid.pilot_bins] = pilot_symbols
-    body = ifft(freq) * grid.scale
-    return np.concatenate([body[..., -grid.cp_len :], body], axis=-1)
+    frames = np.empty(freq.shape[:-1] + (grid.symbol_len,), dtype=np.complex128)
+    body = ifft(freq, out=frames[..., grid.cp_len :])
+    lanes = body.view(np.float64)
+    lanes *= grid.scale
+    frames[..., : grid.cp_len] = body[..., -grid.cp_len :]
+    return frames
 
 
 def disassemble(time_samples, grid):
@@ -104,7 +108,9 @@ def disassemble(time_samples, grid):
         raise FramingError(
             f"expected {grid.symbol_len} time samples, got {time_samples.shape[-1]}"
         )
-    freq = fft(time_samples[..., grid.cp_len :]) / grid.scale
+    freq = fft(time_samples[..., grid.cp_len :])
+    lanes = freq.view(np.float64)
+    lanes *= 1 / grid.scale  # numpy's complex / real: times 1 / real
     return freq[..., grid.data_bins], freq[..., grid.pilot_bins]
 
 

@@ -209,7 +209,7 @@ def test_criterion_7_channel_statistics():
         lags = np.arange(41)
         acf = np.zeros(len(lags), complex)
         for _ in range(200):
-            g = _jakes_process(401, fd / 4000.0, stream)
+            g = _jakes_process(1, 401, fd / 4000.0, stream)[0]
             for i, lag in enumerate(lags):
                 acf[i] += np.mean(g[lag:] * np.conj(g[: 401 - lag]))
         acf /= 200

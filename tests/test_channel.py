@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import j0
@@ -121,7 +123,7 @@ def test_jakes_autocorrelation(fd):
     lags = np.arange(41)  # 0 .. 10 ms at 4 kHz
     acf = np.zeros(len(lags), dtype=complex)
     for _ in range(n_real):
-        g = _jakes_process(n_samp, fd / 4000.0, rng)
+        g = _jakes_process(1, n_samp, fd / 4000.0, rng)[0]
         for i, lag in enumerate(lags):
             acf[i] += np.mean(g[lag:] * np.conj(g[: n_samp - lag]))
     acf /= n_real
@@ -185,17 +187,55 @@ def test_realization_determinism():
     assert np.array_equal(a, b)
 
 
+def _fading_loop(signal, traj):
+    """The time-varying convolution with a fresh product array per tap."""
+    out = np.zeros(signal.size, dtype=np.complex128)
+    for l in range(traj.shape[0]):
+        out[l:] += traj[l, l : signal.size] * signal[: signal.size - l]
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 44_800])
+def test_apply_fading_bit_for_bit_with_the_product_loop(n):
+    rng = np.random.default_rng(n)
+    sig = rng.normal(size=n) + 1j * rng.normal(size=n)
+    traj = rng.normal(size=(4, n + 2)) + 1j * rng.normal(size=(4, n + 2))
+    got = apply_fading(sig, ChannelRealization(traj))
+    expected = _fading_loop(sig, traj)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, esn0_db", [(0, 10.0), (1, 0.0), (7, 3.5),
+                                        (44_800, 20.0)])
+def test_add_awgn_bit_for_bit_with_the_scaled_sum(n, esn0_db):
+    # add_awgn scales the noise in place and adds the signal into it; the
+    # bits must be those of signal + noise * sqrt(sigma2)
+    sig = np.exp(1j * np.arange(n)) * 0.8
+    got = add_awgn(sig, esn0_db, 0.64, RngStream(15, n))
+    sigma2 = 0.64 * 10.0 ** (-esn0_db / 10.0)
+    noise = RngStream(15, n).complex_normal(n)
+    expected = sig + noise * np.sqrt(sigma2)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_add_awgn_keeps_the_signal_shape():
+    sig = np.ones((3, 5), dtype=np.complex128)
+    out = add_awgn(sig, 10.0, 1.0, RngStream(16, 0))
+    assert out.shape == (3, 5)
+    flat = add_awgn(sig.ravel(), 10.0, 1.0, RngStream(16, 0))
+    assert np.array_equal(out.ravel(), flat)
+
+
 @pytest.mark.parametrize("k_factor, doppler_hz", [(3.0, 100.0), (0.0, 40.0),
                                                   (10.0, 0.0)])
 def test_rician_taps_scale_bit_for_bit(k_factor, doppler_hz):
-    # rician_taps scales the Jakes processes in place; the bits must be those
-    # of the expression |taps| * (los + diffuse * g)
+    # rician_taps scales the Jakes processes in place on their float lanes;
+    # the bits must be those of the expression |taps| * (los + diffuse * g)
     cfg = ChannelConfig(kind="rician", k_factor=k_factor,
                         doppler_hz=doppler_hz)
     got = rician_taps(cfg, 44_800, RngStream(14, 1)).tap_trajectories
-    rng = RngStream(14, 1)
-    g = np.array([_jakes_process(44_800, doppler_hz / 4000.0, rng)
-                  for _ in UNIT_TAPS])
+    g = _jakes_process(len(UNIT_TAPS), 44_800, doppler_hz / 4000.0,
+                       RngStream(14, 1))
     los = np.sqrt(k_factor / (k_factor + 1.0))
     diffuse = np.sqrt(1.0 / (k_factor + 1.0))
     expected = np.abs(UNIT_TAPS)[:, None] * (los + diffuse * g)
@@ -211,17 +251,64 @@ def _jakes_direct_sum(n_samples, doppler_norm, rng):
     return np.exp(1j * phase).sum(axis=1) / np.sqrt(32)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 200, 401, 41_280])
+def _jakes_two_level(n_samples, doppler_norm, rng):
+    """One tap as A @ C with A and C taken straight from the exponential,
+    about 64 sqrt(n) of them: the form the phasor tables replaced."""
+    alpha = rng.uniform(32) * 2 * np.pi
+    phi = rng.uniform(32) * 2 * np.pi
+    w = 2 * np.pi * doppler_norm * np.cos(alpha)
+    block = max(1, math.isqrt(n_samples))
+    starts = np.arange(-(-n_samples // block)) * block
+    a = np.exp(1j * (np.outer(starts, w) + phi))
+    c = np.exp(1j * np.outer(w, np.arange(block)))
+    return (a @ c).ravel()[:n_samples] / np.sqrt(32)
+
+
+def _per_tap(form, n_taps, n_samples, doppler_norm, rng):
+    return np.array([form(n_samples, doppler_norm, rng)
+                     for _ in range(n_taps)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 200, 401, 41_280, 57_600])
 def test_jakes_block_product_matches_direct_sum(n):
-    got = _jakes_process(n, 100.0 / 4000.0, RngStream(12, n))
-    expected = _jakes_direct_sum(n, 100.0 / 4000.0, RngStream(12, n))
-    assert got.shape == (n,)
-    assert np.max(np.abs(got - expected)) < 1e-9
+    # the phasor tables stay within 1e-9 of the direct sum and no further
+    # from it than the two-level form they replaced, up to 1e-14
+    got = _jakes_process(4, n, 100.0 / 4000.0, RngStream(12, n))
+    expected = _per_tap(_jakes_direct_sum, 4, n, 100.0 / 4000.0,
+                        RngStream(12, n))
+    two_level = _per_tap(_jakes_two_level, 4, n, 100.0 / 4000.0,
+                         RngStream(12, n))
+    assert got.shape == (4, n)
+    deviation = np.max(np.abs(got - expected))
+    assert deviation < 1e-9
+    assert deviation <= np.max(np.abs(two_level - expected)) + 1e-14
 
 
 def test_jakes_consumes_64_uniforms():
     rng = RngStream(13, 0)
-    _jakes_process(50, 0.01, rng)
+    _jakes_process(1, 50, 0.01, rng)
     reference = RngStream(13, 0)
     reference.uniform(64)
+    assert rng.uniform() == reference.uniform()
+
+
+def test_rician_taps_draw_256_uniforms_in_tap_order():
+    # one call draws alpha then phi for each tap in turn: each trajectory is
+    # the direct sum of its own tap's 64 draws
+    cfg = ChannelConfig(kind="rician", k_factor=3.0, doppler_hz=100.0)
+    rng = RngStream(17, 0)
+    got = rician_taps(cfg, 500, rng).tap_trajectories
+    reference = RngStream(17, 0)
+    g = _per_tap(_jakes_direct_sum, 4, 500, 100.0 / 4000.0, reference)
+    expected = np.abs(UNIT_TAPS)[:, None] * (np.sqrt(0.75) + 0.5 * g)
+    assert np.max(np.abs(got - expected)) < 1e-12
+    assert rng.uniform() == reference.uniform()
+
+
+def test_rician_taps_of_no_samples():
+    cfg = ChannelConfig(kind="rician")
+    rng = RngStream(18, 0)
+    assert rician_taps(cfg, 0, rng).tap_trajectories.shape == (4, 0)
+    reference = RngStream(18, 0)
+    reference.uniform(256)
     assert rng.uniform() == reference.uniform()

@@ -1,4 +1,5 @@
 import hashlib
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,28 @@ def test_map_rejects_indivisible_bits():
         map_bits(np.array([0, 1, 0]), constellation("qpsk"))
 
 
+@pytest.mark.parametrize("bits", [[0, 2], [0.5, 1.7], [2, 0],
+                                  np.array([0, 2], dtype=np.uint8),
+                                  np.array([255, 0], dtype=np.uint8),
+                                  [0, -1], [np.nan, 1]])
+def test_map_rejects_values_that_are_not_bits(bits):
+    with pytest.raises(FramingError, match="bits must be 0 or 1"):
+        map_bits(bits, constellation("qpsk"))
+
+
+@pytest.mark.parametrize("bits", [[1, 0], [1.0, 0.0], [True, False],
+                                  np.array([1, 0], dtype=np.uint8),
+                                  np.array([1, 0], dtype=np.int8)])
+def test_map_takes_bits_of_any_dtype(bits):
+    spec = constellation("qpsk")
+    assert map_bits(bits, spec).tolist() == [spec.points[2]]
+
+
+def test_map_takes_no_bits():
+    for bits in ([], np.zeros(0, dtype=np.uint8)):
+        assert map_bits(bits, constellation("16qam")).shape == (0,)
+
+
 def test_qpsk_quadrant_decision():
     spec = constellation("qpsk")
     bits = demap_hard(np.array([(0.9 + 1.1j) / np.sqrt(2)]), spec)
@@ -114,7 +137,7 @@ def test_qpsk_quadrant_decision():
 @pytest.mark.parametrize("name", ALL_SCHEMES)
 def test_demapper_matches_exhaustive_oracle(name):
     spec = constellation(name)
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     clean = spec.points[rng.integers(0, spec.order, 10_000)]
     # Es/N0 = 15 dB noise
     sigma = np.sqrt(10 ** (-15 / 10) / 2)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.fft import fft, ifft
@@ -113,6 +115,42 @@ def test_rng_takes_every_64_bit_seed():
                           RngStream(5, 3).bits(256))
     assert not np.array_equal(RngStream(2**64 - 1).bits(256),
                               RngStream(0).bits(256))
+
+
+def _box_muller_concatenated(seed, stream_id, n):
+    """Box-Muller with the cosines and the sines joined by concatenate."""
+    gen = np.random.Generator(np.random.Philox(key=seed | stream_id << 64))
+    u = gen.random((2, (n + 1) // 2))
+    r = np.sqrt(-2.0 * np.log1p(-u[0]))
+    theta = 2.0 * np.pi * u[1]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 10_001])
+def test_normal_bit_for_bit_with_the_concatenated_form(n):
+    got = RngStream(19, 2).normal(n)
+    expected = _box_muller_concatenated(19, 2, n)
+    assert got.shape == (n,)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_normal_into_out_fills_both_rows():
+    out = np.empty((2, 4))
+    assert RngStream(19, 3).normal(7, out=out) is out
+    expected = _box_muller_concatenated(19, 3, 8)
+    assert np.array_equal(out.ravel().view(np.uint64),
+                          expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 10_001])
+def test_complex_normal_bit_for_bit_with_the_joined_quotient(n):
+    # complex_normal fills the lanes of one buffer and scales them in place;
+    # the bits must be those of (z[:n] + 1j * z[n:]) / sqrt(2)
+    got = RngStream(20, n).complex_normal(n)
+    z = RngStream(20, n).normal(2 * n)
+    expected = (z[:n] + 1j * z[n:]) / math.sqrt(2.0)
+    assert got.dtype == np.complex128 and got.shape == (n,)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_gaussian_moments():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.fft import fft
+from numpy.fft import fft, ifft
 
 from ofdmlink.channel import DEFAULT_TAPS, static_multipath
 from ofdmlink.errors import FramingError, SingularChannelError
@@ -146,3 +146,26 @@ def test_full_chain_noiseless_recovery():
     h = channel_response(taps)[GRID.data_bins]
     recovered = equalize_one_tap(d2, h)
     assert np.max(np.abs(recovered - d)) < 1e-6
+
+
+@pytest.mark.parametrize("n_frames", [1, 3, 140])
+def test_assemble_and_disassemble_bit_for_bit_with_the_scaled_transforms(
+        n_frames):
+    # both scale their transform in place on its float lanes; the bits must
+    # be those of ifft(freq) * scale with the prefix joined by concatenate,
+    # and of fft(body) / scale
+    d, p = random_payload(np.random.default_rng(n_frames), n_frames)
+    freq = np.zeros(d.shape[:-1] + (GRID.fft_size,), dtype=complex)
+    freq[..., GRID.data_bins] = d
+    freq[..., GRID.pilot_bins] = p
+    body = ifft(freq) * GRID.scale
+    expected = np.concatenate([body[..., -GRID.cp_len :], body], axis=-1)
+    frames = assemble(d, p, GRID)
+    assert np.array_equal(frames.view(np.uint64), expected.view(np.uint64))
+    rx = frames + 0.01 * np.random.default_rng(7).normal(size=frames.shape)
+    spectrum = fft(rx[..., GRID.cp_len :]) / GRID.scale
+    for got, bins in zip(disassemble(rx, GRID),
+                         (GRID.data_bins, GRID.pilot_bins)):
+        expected = np.ascontiguousarray(spectrum[..., bins])
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                              expected.view(np.uint64))

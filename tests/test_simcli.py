@@ -585,6 +585,54 @@ def test_rician_point_counts_pinned(receiver, modulation):
     assert counts == RICIAN_COUNTS[receiver, modulation]
 
 
+# error counts at n_bits = 8000 on stream 0, seeds 1, 2 and 3 (one row each)
+# at SNR 0, 10, 20 and 30 dB, recorded with the Jakes taps taken straight
+# from the exponential, before they came from phasor tables
+RICIAN_SEED_COUNTS = {
+    ("known_channel_zf", "qpsk"): [
+        [1772, 721, 522, 503],
+        [1822, 741, 540, 510],
+        [1731, 743, 579, 562],
+    ],
+    ("known_channel_zf", "16qam"): [
+        [2661, 1621, 1357, 1324],
+        [2558, 1621, 1355, 1333],
+        [2672, 1742, 1493, 1463],
+    ],
+    ("pilot_fd_lms", "qpsk"): [
+        [2085, 825, 622, 584],
+        [2121, 961, 735, 694],
+        [2061, 880, 667, 629],
+    ],
+    ("pilot_fd_lms", "16qam"): [
+        [2856, 1866, 1596, 1557],
+        [2902, 1887, 1652, 1628],
+        [2822, 1800, 1546, 1507],
+    ],
+    ("pre_fft_lms", "qpsk"): [
+        [1908, 871, 671, 644],
+        [1863, 842, 623, 590],
+        [1762, 698, 497, 501],
+    ],
+    ("pre_fft_lms", "16qam"): [
+        [2737, 1902, 1751, 1742],
+        [2839, 1966, 1744, 1726],
+        [2709, 1907, 1697, 1653],
+    ],
+}
+
+
+@pytest.mark.parametrize("receiver, modulation", sorted(RICIAN_SEED_COUNTS))
+def test_rician_seed_counts_pinned(receiver, modulation):
+    counts = []
+    for seed in (1, 2, 3):
+        cfg = SimConfig(modulations=(modulation,), channel="rician",
+                        receiver_mode=receiver, n_bits=8000, seed=seed)
+        counts.append([run_point(cfg, snr, modulation).errors
+                       for snr in (0.0, 10.0, 20.0, 30.0)])
+    assert counts == RICIAN_SEED_COUNTS[receiver, modulation]
+
+
 @pytest.mark.parametrize("modulation", ["qpsk", "16qam", "64qam"])
 def test_rician_without_doppler_is_ici_free(modulation):
     # without Doppler the taps hold still, so the genie's frame-mean
