@@ -74,15 +74,13 @@ def add_awgn(signal, esn0_db, signal_power, rng):
     """Add circular complex Gaussian noise at the requested Es/N0.
 
     Total noise variance per complex sample is signal_power / 10^(esn0/10),
-    split equally between the quadratures.  The noise is scaled in place on
-    its float lanes and the signal added into it: the bits of
-    ``signal + noise * sqrt(sigma2)``, up to the sign of an exact zero.
+    split equally between the quadratures.  The noise is scaled in place and
+    the signal added into it.
     """
     signal = np.asarray(signal, dtype=np.complex128)
     sigma2 = signal_power * 10.0 ** (-esn0_db / 10.0)
     noise = rng.complex_normal(signal.size).reshape(signal.shape)
-    lanes = noise.view(np.float64)
-    lanes *= np.sqrt(sigma2)
+    noise *= np.sqrt(sigma2)
     noise += signal
     return noise
 
@@ -107,10 +105,9 @@ def _jakes_process(n_taps, n_samples, doppler_norm, rng):
     with q = a q1 + q0, A[q, k] = exp(j(w_k B a q1 + phi_k)) exp(j w_k B q0),
     and with B = b * b and r = b r1 + r0, C[k, r] = exp(j w_k b r1)
     exp(j w_k r0).  The four tables have about n^(1/4) rows each, so a tap
-    takes about 128 n^(1/4) exponentials instead of 32 n.  One matmul
-    evaluates every tap, and the 1/sqrt(32) runs in place on the float
-    lanes.  One call draws the 64 uniforms of each tap in turn, alpha then
-    phi.
+    takes about 128 n^(1/4) exponentials instead of 32 n.  The 1/sqrt(32)
+    is folded into the finest table, and one matmul evaluates every tap.
+    One call draws the 64 uniforms of each tap in turn, alpha then phi.
     """
     u = rng.uniform(n_taps * 2 * _N_SINUSOIDS).reshape(n_taps, 2, 1, -1)
     alpha = u[:, 0] * 2 * np.pi
@@ -132,18 +129,15 @@ def _jakes_process(n_taps, n_samples, doppler_norm, rng):
     a = max(1, math.isqrt(rows))
     factor_a = product(phasors(-(-rows // a), block * a, phi),
                        phasors(a, block))[:, :rows]
-    factor_c = product(phasors(b, b), phasors(b, 1)).transpose(0, 2, 1)
-    g = np.matmul(factor_a, factor_c)
-    lanes = g.view(np.float64)
-    lanes *= 1 / np.sqrt(_N_SINUSOIDS)
-    return g.reshape(n_taps, -1)[:, :n_samples]
+    fine = phasors(b, 1) / np.sqrt(_N_SINUSOIDS)
+    factor_c = product(phasors(b, b), fine).transpose(0, 2, 1)
+    return np.matmul(factor_a, factor_c).reshape(n_taps, -1)[:, :n_samples]
 
 
 def rician_taps(cfg, n_samples, rng):
     """Draw one fading realization of a Rician cfg: per-tap trajectories of
-    length n_samples, scaled in place on the float lanes of the Jakes
-    processes (the bits of |taps| * (los + diffuse * g), up to the sign of
-    an exact zero)."""
+    length n_samples, |taps| * (los + diffuse * g) computed in place on the
+    Jakes processes g."""
     if cfg.kind != "rician":
         raise ConfigurationError(f"not a rician channel: {cfg.kind!r}")
     k = cfg.k_factor
@@ -151,10 +145,9 @@ def rician_taps(cfg, n_samples, rng):
     diffuse = np.sqrt(1.0 / (k + 1.0))
     doppler_norm = cfg.doppler_hz / SAMPLE_RATE_HZ
     g = _jakes_process(len(UNIT_TAPS), n_samples, doppler_norm, rng)
-    lanes = g.view(np.float64)
-    lanes *= diffuse
-    g.real += los
-    lanes *= np.abs(UNIT_TAPS)[:, None]
+    g *= diffuse
+    g += los
+    g *= np.abs(UNIT_TAPS)[:, None]
     return ChannelRealization(g)
 
 

@@ -116,16 +116,9 @@ def _build(key):
 
 
 def map_bits(bits, spec):
-    """Map a bit stream to constellation points, MSB-first per symbol.
-
-    Every bit must be 0 or 1; the link's uint8 bits take one max() to check.
-    """
+    """Map a bit stream to constellation points, MSB-first per symbol."""
     bits = np.asarray(bits)
-    if bits.dtype == np.uint8:
-        is_bits = bits.size == 0 or bits.max() <= 1
-    else:
-        is_bits = ((bits == 0) | (bits == 1)).all()
-    if not is_bits:
+    if not ((bits == 0) | (bits == 1)).all():
         raise FramingError("bits must be 0 or 1")
     k = spec.bits_per_symbol
     if len(bits) % k != 0:

@@ -72,7 +72,8 @@ class RngStream:
     def complex_normal(self, n):
         """n circular complex Gaussians with unit total variance: the first
         n normals of normal(2 n) on the real lanes, the other n on the
-        imaginary lanes, scaled by 1/sqrt(2) in place."""
+        imaginary lanes, scaled by 1/sqrt(2) in place: the bits of
+        (z[:n] + 1j * z[n:]) / sqrt(2), up to the sign of an exact zero."""
         z = np.empty(n, dtype=np.complex128)
         lanes = z.view(np.float64)
         self.normal(2 * n, out=lanes.reshape(n, 2).T)

@@ -91,9 +91,8 @@ def assemble(data_symbols, pilot_symbols, grid):
     freq[..., grid.data_bins] = data_symbols
     freq[..., grid.pilot_bins] = pilot_symbols
     frames = np.empty(freq.shape[:-1] + (grid.symbol_len,), dtype=np.complex128)
-    body = ifft(freq, out=frames[..., grid.cp_len :])
-    lanes = body.view(np.float64)
-    lanes *= grid.scale
+    body = ifft(freq, out=frames[..., grid.cp_len :])  # out= needs NumPy 2
+    body *= grid.scale
     frames[..., : grid.cp_len] = body[..., -grid.cp_len :]
     return frames
 
@@ -109,8 +108,7 @@ def disassemble(time_samples, grid):
             f"expected {grid.symbol_len} time samples, got {time_samples.shape[-1]}"
         )
     freq = fft(time_samples[..., grid.cp_len :])
-    lanes = freq.view(np.float64)
-    lanes *= 1 / grid.scale  # numpy's complex / real: times 1 / real
+    freq /= grid.scale
     return freq[..., grid.data_bins], freq[..., grid.pilot_bins]
 
 

@@ -229,8 +229,8 @@ def test_add_awgn_keeps_the_signal_shape():
 @pytest.mark.parametrize("k_factor, doppler_hz", [(3.0, 100.0), (0.0, 40.0),
                                                   (10.0, 0.0)])
 def test_rician_taps_scale_bit_for_bit(k_factor, doppler_hz):
-    # rician_taps scales the Jakes processes in place on their float lanes;
-    # the bits must be those of the expression |taps| * (los + diffuse * g)
+    # rician_taps scales the Jakes processes in place; the bits must be
+    # those of the expression |taps| * (los + diffuse * g)
     cfg = ChannelConfig(kind="rician", k_factor=k_factor,
                         doppler_hz=doppler_hz)
     got = rician_taps(cfg, 44_800, RngStream(14, 1)).tap_trajectories

@@ -151,9 +151,9 @@ def test_full_chain_noiseless_recovery():
 @pytest.mark.parametrize("n_frames", [1, 3, 140])
 def test_assemble_and_disassemble_bit_for_bit_with_the_scaled_transforms(
         n_frames):
-    # both scale their transform in place on its float lanes; the bits must
-    # be those of ifft(freq) * scale with the prefix joined by concatenate,
-    # and of fft(body) / scale
+    # both scale their transform in place; the bits must be those of
+    # ifft(freq) * scale with the prefix joined by concatenate, and of
+    # fft(body) / scale
     d, p = random_payload(np.random.default_rng(n_frames), n_frames)
     freq = np.zeros(d.shape[:-1] + (GRID.fft_size,), dtype=complex)
     freq[..., GRID.data_bins] = d
