@@ -5,7 +5,9 @@ all-zero state, appends six zero tail bits, and emits the 171 output before
 the 133 output for every input bit.  The decoder is terminated at the zero
 state and breaks metric ties toward the lower-numbered predecessor state.
 It folds four trellis steps into one radix-16 add-compare-select pass,
-and the first n_steps % 4 steps into one lookup in the same table.
+and the first n_steps % 4 steps into one lookup in the same table.  Path
+metrics and the table are int16: renormalisation keeps every stored value
+below 2**14 (see ``_acs``).
 
 One block decodes as up to 16 overlapping time segments run as one stack
 through that loop, so the per-pass call overhead is spread over them.
@@ -39,11 +41,6 @@ class ConvCodeSpec:
     def tail_bits(self):
         return self.constraint_length - 1
 
-    def generator_taps(self):
-        k = self.constraint_length
-        return [np.array([(g >> i) & 1 for i in range(k)], dtype=np.uint8)
-                for g in self.generators]
-
 
 DEFAULT_CODE = ConvCodeSpec()
 
@@ -53,11 +50,17 @@ def conv_encode(bits):
     bits = np.asarray(bits)
     if not ((bits == 0) | (bits == 1)).all():
         raise FramingError("message bits must be 0 or 1")
-    padded = np.concatenate([bits, np.zeros(DEFAULT_CODE.tail_bits, np.uint8)])
-    out = np.empty((len(padded), 2), dtype=np.uint8)
-    for j, taps in enumerate(DEFAULT_CODE.generator_taps()):
-        # binary convolution of the message with the generator taps
-        out[:, j] = np.convolve(padded, taps)[: len(padded)] % 2
+    m = DEFAULT_CODE.tail_bits
+    n = len(bits) + m
+    # the message with m zeros before it (the start state) and m after it
+    # (the tail); output t of a generator XORs z[t + m - i] over its taps i
+    z = np.zeros(n + m, dtype=np.uint8)
+    z[m: m + len(bits)] = bits
+    out = np.zeros((n, 2), dtype=np.uint8)
+    for j, g in enumerate(DEFAULT_CODE.generators):
+        for i in range(m + 1):
+            if g >> i & 1:
+                out[:, j] ^= z[m - i: m - i + n]
     return out.ravel()
 
 
@@ -84,23 +87,23 @@ def _radix_table():
     reg = np.arange(1 << (m + 1))  # previous state << 1 | input bit
     parity = lambda g: np.array([bin(int(r) & g).count("1") & 1 for r in reg])
     out_sym = (parity(g1) << 1) | parity(g2)
-    popcount = np.array([0, 1, 1, 2], dtype=np.int32)
+    popcount = np.array([0, 1, 1, 2], dtype=np.int16)
     symbols = np.arange(4)[:, None, None, None]
     a = np.arange(1 << r)[:, None, None]
     h = np.arange(1 << (m - r))[None, :, None]
     l = np.arange(1 << r)[None, None, :]
     path = (((a << (m - r)) | h) << r) | l  # the m + r bits s then l
-    tab = np.zeros(path.shape, dtype=np.int32)
+    tab = np.zeros(path.shape, dtype=np.int16)
     for k in range(1, r + 1):  # sum per-step metrics by broadcasting
         expected = out_sym[(path >> (r - k)) & (reg.size - 1)]
         tab = tab[..., None, :, :, :] + popcount[expected ^ symbols]
-    rank = np.array([_bitrev(x, r) for x in range(1 << r)], dtype=np.int32)
+    rank = np.array([_bitrev(x, r) for x in range(1 << r)], dtype=np.int16)
     tab = tab.reshape(-1, *path.shape) * 16 + rank[:, None, None]
     tab.setflags(write=False)
     return tab
 
 
-# ACS rows collect in an int32 ring of this many passes; one copy per ring
+# ACS rows collect in an int16 ring of this many passes; one copy per ring
 # moves their low bytes to the uint8 survivor history
 _RING = 64
 
@@ -126,7 +129,8 @@ def _acs(pm, tab, groups, hist):
     keeps every decision and tie rank.  Each state is reachable from the
     best one in 6 steps at a cost of at most 12, so a row that has run 6
     steps ends in [0, 16 * 12].  One chunk of 256 steps adds at most
-    16 * 512, so stored values stay below 2**14 at any block length.
+    16 * 512, so stored values stay below 2**14 at any block length, and
+    int16 metrics and table entries (at most 16 * 8 + 15) never overflow.
     """
     n_a, n_h, n_l = tab.shape[1:]
     n_rows = len(pm)
@@ -249,7 +253,7 @@ def viterbi_decode(coded):
     # the packed symbols of one pass are a table index below 4**_RADIX = 256
     weights = (4 ** np.arange(_RADIX - 1, -1, -1)).astype(np.uint8)
     groups = rx_sym[head:].reshape(-1, _RADIX) @ weights
-    pm = np.full((1, n_states), 16 * 256, dtype=np.int32)
+    pm = np.full((1, n_states), 16 * 256, dtype=np.int16)
     pm[0, 0] = 0
     if head:
         lead = int(rx_sym[:head] @ weights[_RADIX - head:])

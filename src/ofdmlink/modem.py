@@ -125,10 +125,13 @@ def map_bits(bits, spec):
         raise FramingError(
             f"bit count {len(bits)} not divisible by {k} ({spec.name})"
         )
-    groups = bits.reshape(-1, k).astype(np.int64)
-    weights = 1 << np.arange(k - 1, -1, -1)
-    values = groups @ weights
-    return spec.points[values]
+    # labels have at most 8 bits: shift each column into one uint8 per symbol
+    groups = bits.astype(np.uint8, copy=False).reshape(-1, k)
+    labels = groups[:, 0].copy()
+    for column in groups.T[1:]:
+        labels <<= 1
+        labels |= column
+    return spec.points[labels]
 
 
 # A symbol closer than this share of a cell width to a cell edge takes the

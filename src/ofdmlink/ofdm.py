@@ -87,11 +87,13 @@ def assemble(data_symbols, pilot_symbols, grid):
             f"expected {len(grid.pilot_bins)} pilot symbols, "
             f"got {pilot_symbols.shape[-1]}"
         )
-    freq = np.zeros(data_symbols.shape[:-1] + (grid.fft_size,), dtype=np.complex128)
-    freq[..., grid.data_bins] = data_symbols
-    freq[..., grid.pilot_bins] = pilot_symbols
-    frames = np.empty(freq.shape[:-1] + (grid.symbol_len,), dtype=np.complex128)
-    body = ifft(freq, out=frames[..., grid.cp_len :])  # out= needs NumPy 2
+    # the bins are laid out in the frame body and transformed there
+    frames = np.zeros(data_symbols.shape[:-1] + (grid.symbol_len,),
+                      dtype=np.complex128)
+    body = frames[..., grid.cp_len :]
+    body[..., grid.data_bins] = data_symbols
+    body[..., grid.pilot_bins] = pilot_symbols
+    ifft(body, out=body)  # out= needs NumPy 2
     body *= grid.scale
     frames[..., : grid.cp_len] = body[..., -grid.cp_len :]
     return frames

@@ -291,27 +291,38 @@ def _known_symbols(rng, n_frames, width, spec):
     return map_bits(bits, spec).reshape(n_frames, width)
 
 
-def _transmit(payload, n_train, known_pilots, spec, grid, rng):
+def _transmit(bits, n_train, known_pilots, spec, grid, rng):
     """The transmitter: n_train known training frames drawn from rng, then
-    the payload frames, each with a pilot comb of ones (with known_pilots,
-    of known symbols drawn next), as one sample stream: (flat, pilots)."""
-    frames = np.vstack(
-        [_known_symbols(rng, n_train, payload.shape[1], spec), payload])
+    the payload frames that bits are mapped onto, each with a pilot comb of
+    ones (with known_pilots, of known symbols drawn next), as one sample
+    stream: (flat, pilots).  Zero bits fill the last symbol and zero
+    symbols the last frame.  The symbols are mapped straight into the
+    frames, which live only until assemble has built the stream."""
+    k, n_data = spec.bits_per_symbol, len(grid.data_bins)
+    n_symbols = -(-len(bits) // k)
+    frames = np.zeros((n_train + -(-n_symbols // n_data), n_data),
+                      dtype=np.complex128)
+    frames[:n_train] = _known_symbols(rng, n_train, n_data, spec)
+    frames[n_train:].reshape(-1)[:n_symbols] = map_bits(
+        np.concatenate([bits, np.zeros(-len(bits) % k, dtype=np.uint8)]), spec)
     shape = (len(frames), len(grid.pilot_bins))
     pilots = (_known_symbols(rng, *shape, spec) if known_pilots
               else np.ones(shape, dtype=np.complex128))
     return assemble(frames, pilots, grid).ravel(), pilots
 
 
-def _through_channel(cfg, flat, snr_db, grid, rng):
-    """Pass the transmitted samples through cfg.channel, then add AWGN.
+def _through_channel(cfg, flat, grid, rng):
+    """Pass the transmitted samples through cfg.channel, without the noise.
 
-    snr_db is realized as Es/N0 per active subcarrier: the time-domain noise
-    is scaled by the FFT-size/active duty factor.  Returns ``(rx, taps)``
-    with the true taps: the static ones, the unit tap on AWGN, or per frame
-    the mean of the Rician trajectories (n_frames, n_taps), so that the
-    (n_taps, n_samples) trajectories do not outlive this stage.
+    Returns ``(rx, taps, noise_ref)``.  taps are the true taps: the static
+    ones, the unit tap on AWGN, or per frame the mean of the Rician
+    trajectories (n_frames, n_taps), so that the (n_taps, n_samples)
+    trajectories do not outlive this stage.  noise_ref is the power that
+    add_awgn scales the noise against: snr_db is realized as Es/N0 per
+    active subcarrier, so it is the transmitted power times the
+    FFT-size/active duty factor.
     """
+    signal_power = float(np.mean(np.abs(flat) ** 2))
     if cfg.channel == "awgn":
         rx, taps = flat, np.ones(1, dtype=np.complex128)
     elif cfg.channel == "static":
@@ -321,37 +332,34 @@ def _through_channel(cfg, flat, snr_db, grid, rng):
         realization = rician_taps(chan, flat.size, rng)
         rx, traj = apply_fading(flat, realization), realization.tap_trajectories
         taps = traj.reshape(len(traj), -1, grid.symbol_len).mean(axis=2).T
-    signal_power = float(np.mean(np.abs(flat) ** 2))
     duty = grid.fft_size / grid.n_active
-    return add_awgn(rx, snr_db, signal_power * duty, rng), taps
+    return rx, taps, signal_power * duty
 
 
-def _known_channel_zf(cfg, rx, flat, pilots, taps, n_train, grid):
+def _known_channel_zf(cfg, data_rx, pilot_rx, pilots, taps, n_train, grid):
     """Genie one-tap zero forcing by the true response of each frame."""
-    data_rx, _ = disassemble(rx.reshape(len(pilots), -1), grid)
     return equalize_one_tap(data_rx, fft(taps, grid.fft_size)[..., grid.data_bins])
 
 
-def _pilot_fd_lms(cfg, rx, flat, pilots, taps, n_train, grid):
+def _pilot_fd_lms(cfg, data_rx, pilot_rx, pilots, taps, n_train, grid):
     """One-tap equalization by the LMS-tracked, interpolated pilot response."""
-    data_rx, pilot_rx = disassemble(rx.reshape(len(pilots), -1), grid)
     h = PilotLmsEstimator(grid, cfg.step_size).update(pilot_rx, pilots)
     return equalize_one_tap(data_rx[n_train:], h[n_train:])
 
 
-def _pre_fft_lms(cfg, rx, flat, pilots, taps, n_train, grid):
-    """Time-domain LMS trained on the leading known frames, then the FFT."""
-    training_time = flat[: n_train * grid.symbol_len]
-    rx, _ = equalize_pre_fft(rx, training_time, cfg.lms_taps, cfg.step_size)
-    data_rx, _ = disassemble(rx.reshape(len(pilots), -1), grid)
+def _pre_fft_lms(cfg, data_rx, pilot_rx, pilots, taps, n_train, grid):
+    """The data frames, equalized ahead of the FFT (see run_point)."""
     return data_rx[n_train:]
 
 
 @dataclass(frozen=True)
 class _Receiver:
-    """A receiver as run_point sees it.  equalize(cfg, rx, flat, pilots, taps,
-    n_train, grid) returns the data-bin values; it calls the chain's stages
-    through this module's globals, so that a tracer's wrappers see them."""
+    """A receiver as run_point sees it.  A time-domain receiver has the
+    samples equalized ahead of the FFT by equalize_pre_fft, trained on the
+    leading known frames; then equalize(cfg, data_rx, pilot_rx, pilots,
+    taps, n_train, grid) returns the data-bin values of the payload frames.
+    It calls the chain's stages through this module's globals, so that a
+    tracer's wrappers see them."""
     trains: bool  # leads with cfg.training_symbols known frames
     time_domain: bool  # equalizes samples: known pilots, a training span
     default_mu: float | None  # the step size when lms_mu is unset
@@ -368,42 +376,51 @@ _RECEIVERS = {
 def run_point(cfg, snr_db, modulation=None, stream_id=0):
     """Simulate one (SNR, modulation) point and return its BerPoint.
 
-    Source, encode, map, transmit, channel, receiver and hard demap, then
-    one Viterbi decode when cfg.coding is cc_k7, then the bit comparison.
+    Source, encode, map, transmit, channel, noise, receiver and hard demap,
+    then one Viterbi decode when cfg.coding is cc_k7, then the bit
+    comparison.  Each full-size array is dropped as soon as the stages
+    after it no longer need it, so the point's heap holds about one
+    stage's arrays at a time.
     """
     _check_snr("snr_db", snr_db)
     modulation = modulation or cfg.modulations[0]
     spec = constellation(modulation)
     grid = default_grid()
     rng = RngStream(cfg.seed, stream_id)
+    receiver = _RECEIVERS[cfg.receiver_mode]
+    n_train = cfg.training_symbols if receiver.trains else 0
 
     info_bits = (generate_source(cfg.n_bits) if cfg.source == "sine"
                  else rng.bits(cfg.n_bits))
     coded = conv_encode(info_bits) if cfg.coding == "cc_k7" else info_bits
-    k = spec.bits_per_symbol
-    tx_bits = np.concatenate([coded, np.zeros(-len(coded) % k, dtype=np.uint8)])
-    symbols = map_bits(tx_bits, spec)
-    n_data = len(grid.data_bins)
-    payload = np.concatenate(
-        [symbols, np.zeros(-len(symbols) % n_data, dtype=np.complex128)]
-    ).reshape(-1, n_data)
-
-    receiver = _RECEIVERS[cfg.receiver_mode]
-    n_train = cfg.training_symbols if receiver.trains else 0
+    n_coded = len(coded)
     # the time-domain equalizer never reads the pilot comb; known random
     # symbols there keep the regressor free of a deterministic component
-    flat, pilots = _transmit(payload, n_train, receiver.time_domain, spec,
+    flat, pilots = _transmit(coded, n_train, receiver.time_domain, spec,
                              grid, rng)
-    rx, taps = _through_channel(cfg, flat, snr_db, grid, rng)
-    data_vals = receiver.equalize(cfg, rx, flat, pilots, taps, n_train, grid)
+    training = flat[: n_train * grid.symbol_len].copy()
+    rx, taps, noise_ref = _through_channel(cfg, flat, grid, rng)
+    # the noise is the last draw: it is added once the transmitted stream
+    # is dropped (on AWGN that stream is the channel output itself)
+    del coded, flat
+    rx = add_awgn(rx, snr_db, noise_ref, rng)
+    if receiver.time_domain:
+        rx, _ = equalize_pre_fft(rx, training, cfg.lms_taps, cfg.step_size)
+    data_rx, pilot_rx = disassemble(rx.reshape(len(pilots), -1), grid)
+    del rx
+    data_vals = receiver.equalize(cfg, data_rx, pilot_rx, pilots, taps,
+                                  n_train, grid)
+    del data_rx, pilot_rx
 
     # the pad symbols and pad bits carry no information
-    hard_bits = demap_hard(data_vals.ravel()[: len(symbols)], spec)[: len(coded)]
+    n_symbols = -(-n_coded // spec.bits_per_symbol)
+    hard_bits = demap_hard(data_vals.ravel()[:n_symbols], spec)[:n_coded]
+    del data_vals
     rx_bits = viterbi_decode(hard_bits) if cfg.coding == "cc_k7" else hard_bits
     return BerPoint(
         modulation=modulation, channel=cfg.channel, coding=cfg.coding,
         receiver_mode=cfg.receiver_mode, snr_db=float(snr_db),
-        ebn0_db=ebn0_from_esn0(snr_db, k, cfg.code_rate),
+        ebn0_db=ebn0_from_esn0(snr_db, spec.bits_per_symbol, cfg.code_rate),
         bits=len(info_bits),
         errors=int(np.count_nonzero(rx_bits != info_bits)), seed=cfg.seed,
     )
@@ -439,9 +456,10 @@ def run_lms_trace(cfg):
     spec = constellation(cfg.modulations[0])
     grid = default_grid()
     rng = RngStream(cfg.seed, 0)
-    no_payload = np.empty((0, len(grid.data_bins)), dtype=np.complex128)
+    no_payload = np.zeros(0, dtype=np.uint8)
     flat, _ = _transmit(no_payload, cfg.training_symbols, True, spec, grid, rng)
-    rx, _ = _through_channel(cfg, flat, cfg.snr_grid_db[0], grid, rng)
+    rx, _, noise_ref = _through_channel(cfg, flat, grid, rng)
+    rx = add_awgn(rx, cfg.snr_grid_db[0], noise_ref, rng)
     # error power of the unadapted (zero-weight) equalizer, i.e. the
     # reference level the converged MSE is compared against
     initial_mse = float(np.mean(np.abs(flat) ** 2))

@@ -231,7 +231,7 @@ def test_metrics_stay_renormalised_on_adversarial_blocks(monkeypatch, make):
 
     def checking(pm, tab, groups, hist):
         real(pm, tab, groups, hist)
-        assert pm.dtype == np.int32
+        assert pm.dtype == np.int16
         assert (pm.min(axis=1) == 0).all()
         assert pm.max() <= _METRIC_SPAN
         seen.append(len(pm))
