@@ -71,18 +71,17 @@ class ChannelRealization:
 
 
 def add_awgn(signal, esn0_db, signal_power, rng):
-    """Add circular complex Gaussian noise at the requested Es/N0.
+    """Add circular complex Gaussian noise at the requested Es/N0, in place.
 
     Total noise variance per complex sample is signal_power / 10^(esn0/10),
-    split equally between the quadratures.  The noise is scaled in place and
-    the signal added into it.
+    split equally between the quadratures.  The noise is added into signal
+    block by block (``RngStream.add_complex_normal``) and signal is
+    returned; a signal that is not a C-contiguous complex128 array is
+    copied to one first, and the copy returned.
     """
-    signal = np.asarray(signal, dtype=np.complex128)
+    signal = np.ascontiguousarray(signal, dtype=np.complex128)
     sigma2 = signal_power * 10.0 ** (-esn0_db / 10.0)
-    noise = rng.complex_normal(signal.size).reshape(signal.shape)
-    noise *= np.sqrt(sigma2)
-    noise += signal
-    return noise
+    return rng.add_complex_normal(signal, np.sqrt(sigma2))
 
 
 def static_multipath(signal, taps):
@@ -152,7 +151,14 @@ def rician_taps(cfg, n_samples, rng):
 
 
 def apply_fading(signal, realization):
-    """Time-varying convolution y(t) = sum_l h_l(t) x(t - l)."""
+    """Time-varying convolution y(t) = sum_l h_l(t) x(t - l).
+
+    The products are formed in the realization's complex128 trajectory
+    buffer, which this overwrites: row l becomes h_l(t) x(t - l), and row 0
+    sums the others into itself in tap order, so y is a view of row 0.
+    That is the arithmetic of a sum started from zero, up to the sign of an
+    exact zero: a sum whose terms are all -0.0 stays -0.0 here.
+    """
     signal = np.asarray(signal, dtype=np.complex128)
     traj = realization.tap_trajectories
     if traj.shape[1] < signal.size:
@@ -160,9 +166,18 @@ def apply_fading(signal, realization):
             f"trajectory length {traj.shape[1]} < signal length {signal.size}"
         )
     n = signal.size
-    out = np.zeros(n, dtype=np.complex128)
-    product = np.empty(n, dtype=np.complex128)
-    for l in range(min(traj.shape[0], n)):
-        np.multiply(traj[l, l:n], signal[: n - l], out=product[: n - l])
-        out[l:] += product[: n - l]
+    n_taps = min(traj.shape[0], n)
+    if not n_taps:
+        return np.zeros(n, dtype=np.complex128)
+    for l in range(n_taps):
+        row = traj[l, l:n]
+        if len(row) > 1:
+            row *= signal[: n - l]
+        else:
+            # numpy runs an in-place product of one sample as a reduction,
+            # whose complex multiply may fuse a multiply-add
+            row[:] = row * signal[: n - l]
+    out = traj[0, :n]
+    for l in range(1, n_taps):
+        out[l:] += traj[l, l:n]
     return out

@@ -26,6 +26,7 @@ __all__ = ["LmsTrace", "equalize_pre_fft", "PilotLmsEstimator"]
 
 _DIVERGENCE_LIMIT = 1e6
 _CHUNK = 320  # updates between two divergence scans: one OFDM symbol
+_FROZEN_CHUNK = 8192  # outputs per convolve past the training span
 
 
 @dataclass
@@ -37,7 +38,7 @@ class LmsTrace:
 
 
 def equalize_pre_fft(rx, training, n_taps, step_size):
-    """Adaptive transversal equalizer ahead of the FFT.
+    """Adaptive transversal equalizer ahead of the FFT, in place.
 
     The regressor at step n is [rx[n], rx[n-1], ..., rx[n-n_taps+1]] and the
     desired sample is training[n - delay] with delay = n_taps // 2.  After
@@ -45,16 +46,23 @@ def equalize_pre_fft(rx, training, n_taps, step_size):
 
     Each training update repeats the arithmetic of ``w + mu * x * conj(e)``
     with y = vdot(w, x) on the reversed regressor view itself, so every output
-    equals a per-sample loop's to the bit.  The weights after each update go
-    to a one-symbol history that is scanned once per chunk: weights beyond
-    1e6 in magnitude raise DivergenceError naming the first such update,
-    counted from 1, and the updates after it are discarded.
+    equals a per-sample loop's to the bit.  The regressors are read from a
+    zero-padded copy of the training span alone.  The weights after each
+    update go to a one-symbol history that is scanned once per chunk:
+    weights beyond 1e6 in magnitude raise DivergenceError naming the first
+    such update, counted from 1, and the updates after it are discarded.
 
     Past the training span, y = w^H x is an FIR filter with the frozen taps
-    conj(w): out[m] = convolve(rx, conj(w))[m + delay], in one call.
+    conj(w): out[m] = convolve(rx, conj(w))[m + delay].  It runs on chunks
+    of _FROZEN_CHUNK outputs, each convolved together with the n_taps
+    samples before it, so every output is the dot product that one
+    full-length convolve makes, and no input is shorter than the kernel
+    (convolve would swap the two, and sum in another order).
 
     Returns (equalized, trace); equalized[m] estimates the transmitted
-    sample m, same length as rx.
+    sample m.  The outputs overwrite rx, also when DivergenceError is
+    raised, and equalized is rx itself; an rx that is not a complex128
+    array is copied to one first.
     """
     rx = np.asarray(rx, dtype=np.complex128)
     training = np.asarray(training, dtype=np.complex128)
@@ -68,11 +76,15 @@ def equalize_pre_fft(rx, training, n_taps, step_size):
         raise ConfigurationError(
             f"step size must be > 0 and finite, got {step_size}")
 
+    n = len(rx)
     delay = n_taps // 2
-    padded = np.pad(rx, (n_taps - 1, delay))
-    n_adapt = min(len(rx), len(training))
+    n_adapt = min(n, len(training))
+    # the training regressors read rx up to delay samples past the span
+    head = rx[: n_adapt + delay]
+    padded = np.pad(head, (n_taps - 1, n_adapt + delay - len(head)))
     regressors = sliding_window_view(padded, n_taps)[delay : delay + n_adapt, ::-1]
-    out = np.empty(len(rx), dtype=np.complex128)
+    # the n_taps samples before the frozen span, as received
+    before = padded[n_adapt - 1 : n_adapt + n_taps - 1]
     sq_errors = np.empty(n_adapt)
     history = np.zeros((min(_CHUNK, n_adapt) + 1, n_taps), dtype=np.complex128)
     update = np.empty(n_taps, dtype=np.complex128)
@@ -87,7 +99,7 @@ def equalize_pre_fft(rx, training, n_taps, step_size):
                     span[1:], training[start:stop]):
                 y = vdot(w, x)
                 e = d - y
-                out[m] = y
+                rx[m] = y
                 sq_errors[m] = abs(e) ** 2
                 multiply(step, complex(e).conjugate(), out=update)
                 add(w, update, out=w_next)
@@ -97,9 +109,15 @@ def equalize_pre_fft(rx, training, n_taps, step_size):
                                       step_size)
             history[0] = span[-1]
     weights = history[0].copy()
-    out[n_adapt:] = np.convolve(rx, np.conj(weights))[
-        n_adapt + delay : len(rx) + delay]
-    return out, LmsTrace(sq_errors, weights)
+    kernel = np.conj(weights)
+    # chunk [a, b) reads rx[a - n_taps : b + delay]; the samples before a
+    # come as received from the chunk before, since rx holds outputs there
+    for a in range(n_adapt, n, _FROZEN_CHUNK):
+        b = min(a + _FROZEN_CHUNK, n)
+        segment = np.concatenate([before, rx[a : b + delay]])
+        before = segment[b - a : b - a + n_taps]
+        rx[a:b] = np.convolve(segment, kernel)[n_taps + delay :][: b - a]
+    return rx, LmsTrace(sq_errors, weights)
 
 
 class PilotLmsEstimator:

@@ -115,14 +115,16 @@ _SEGMENTS = 16
 _WARMUP = 64
 
 
-def _acs(pm, tab, groups, hist):
+def _acs(pm, tab, groups, hist, marks=None):
     """Run one radix-16 add-compare-select pass per row of ``groups``.
 
     ``pm`` (P, n_states) holds 16 times the path metric of each state of P
     independent trellis rows and is updated in place; row i of ``groups``
     (passes, P) holds pass i's table index for each.  ``hist[:, i]`` (hist
     is (P, passes, n_states)) receives the low byte of the winning
-    ``16 * metric + tie rank`` of every destination state in pass i.
+    ``16 * metric + tie rank`` of every destination state in pass i.  With
+    ``marks`` (rings, P, n_states), mark j receives ``pm`` as renormalised
+    after ring j.
 
     After every _RING passes, and so at the end, each row subtracts its own
     minimum, a multiple of 16 as the metrics are masked with ``~15``; that
@@ -140,7 +142,7 @@ def _acs(pm, tab, groups, hist):
     rows = list(ring.reshape(_RING, n_rows, n_h, n_l))
     pm_in = pm.reshape(n_rows, n_a, n_h, 1)
     pm_out = pm.reshape(n_rows, n_h, n_l)
-    for start in range(0, hist.shape[1], _RING):
+    for j, start in enumerate(range(0, hist.shape[1], _RING)):
         chunk = groups[start: start + _RING]
         for g, row in zip(chunk, rows):
             np.add(pm_in, tab[g], out=buf)
@@ -149,6 +151,8 @@ def _acs(pm, tab, groups, hist):
         np.copyto(hist[:, start: start + len(chunk)],
                   ring[:len(chunk)].swapaxes(0, 1), casting="unsafe")
         pm -= pm.min(axis=1, keepdims=True)
+        if marks is not None:
+            marks[j] = pm
 
 
 def _acs_segmented(pm, tab, groups, hist):
@@ -161,7 +165,10 @@ def _acs_segmented(pm, tab, groups, hist):
     of the stack runs passes [k L, k L + W + L); the first W are a warm-up
     whose survivors go to a scratch buffer, except in row 0, which starts
     from the true metrics.  A row whose warm-up did not end on the end
-    metrics of the row before it, both renormalised, reruns alone from them.
+    metrics of the row before it, both renormalised, reruns alone from them,
+    one ring of _RING passes at a time, until its metrics meet the stacked
+    row's at a ring's end: from there on the stacked row's decisions are
+    the rerun's, by the argument of the warm-up check.
     """
     n = len(groups)
     count = min(_SEGMENTS, n // _WARMUP)
@@ -180,15 +187,23 @@ def _acs_segmented(pm, tab, groups, hist):
     hist[:_WARMUP] = warm[0]
     start_metrics = stack.copy()
     tail = hist[_WARMUP: _WARMUP + count * length]
-    _acs(stack, tab, index[_WARMUP:], tail.reshape(count, length, -1))
+    marks = np.empty((-(-length // _RING), *stack.shape), dtype=pm.dtype)
+    _acs(stack, tab, index[_WARMUP:], tail.reshape(count, length, -1), marks)
     # in order, so that a rerun row's end metrics are the ones checked next
     for k in range(1, count):
         if (start_metrics[k] != stack[k - 1]).any():
             first = _WARMUP + k * length
             last = min(first + length, n)
-            stack[k] = stack[k - 1]
-            _acs(stack[k: k + 1], tab, groups[first: last, None],
-                 hist[None, first: last])
+            row = stack[k - 1: k].copy()
+            for start, mark in zip(range(first, last, _RING), marks[:, k]):
+                stop = min(start + _RING, last)
+                _acs(row, tab, groups[start: stop, None],
+                     hist[None, start: stop])
+                # a met stacked row also ends on the rerun's end metrics
+                if stop < last and (row[0] == mark).all():
+                    break
+            else:
+                stack[k] = row[0]
 
 
 def viterbi_decode(coded):
@@ -229,7 +244,9 @@ def viterbi_decode(coded):
     sequential decoder's by a multiple of 16, which keeps every decision
     and tie rank (see ``_acs``); segment 0 starts from the true metrics, so
     by induction every checked segment is exact.  A segment that fails its
-    check reruns alone from the end metrics of the one before it.
+    check reruns alone from the end metrics of the one before it, and stops
+    at the first ring end where its metrics equal the stacked segment's:
+    the same argument makes the stacked decisions after it exact.
     """
     coded = np.asarray(coded)
     if coded.ndim != 1:

@@ -15,6 +15,10 @@ from .errors import ConfigurationError
 
 __all__ = ["RngStream"]
 
+# complex noise samples made at a time: a 256-ary point is one block, and
+# the block buffer stays small next to a QPSK point's sample stream
+_NOISE_BLOCK = 1 << 14
+
 
 def _uint64(name, value):
     """value as an int; ConfigurationError unless an integer in 0..2**64 - 1."""
@@ -58,24 +62,52 @@ class RngStream:
         """
         half = (n + 1) // 2
         r, theta = self._gen.random((2, half))
-        np.negative(r, out=r)
-        np.log1p(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        theta *= 2.0 * np.pi
         pair = np.empty((2, half)) if out is None else out
-        np.cos(theta, out=pair[0])
-        np.sin(theta, out=pair[1])
-        pair *= r
+        _box_muller(r, theta, pair)
         return pair if out is not None else pair.reshape(-1)[:n]
 
-    def complex_normal(self, n):
-        """n circular complex Gaussians with unit total variance: the first
-        n normals of normal(2 n) on the real lanes, the other n on the
-        imaginary lanes, scaled by 1/sqrt(2) in place: the bits of
-        (z[:n] + 1j * z[n:]) / sqrt(2), up to the sign of an exact zero."""
-        z = np.empty(n, dtype=np.complex128)
-        lanes = z.view(np.float64)
-        self.normal(2 * n, out=lanes.reshape(n, 2).T)
-        lanes *= 1 / math.sqrt(2.0)  # numpy's complex / real: times 1 / real
+    def add_complex_normal(self, z, scale):
+        """Add scale times n circular complex Gaussians of unit total
+        variance to z, a C-contiguous complex128 array of n samples, in
+        place; returns z.
+
+        Sample i gets (x[i] + 1j * x[n + i]) / sqrt(2) * scale, with x the
+        normals of normal(2 n): the Box-Muller pair of the i-th uniform (the
+        radius) and the (n + i)-th (the angle).  All n radius uniforms are
+        drawn first, then the angles one block of _NOISE_BLOCK samples at a
+        time; consecutive draws continue the stream as one draw would.  Each
+        block of noise is made in one reused buffer, scaled there, the lanes
+        by 1/sqrt(2) and the samples by scale, and added into z, so the bits
+        are those of z + noise * scale with the noise of one (2, n) draw.
+        """
+        if z.dtype != np.complex128 or not z.flags.c_contiguous:
+            raise ValueError("z must be a C-contiguous complex128 array")
+        flat = z.reshape(-1)  # a view, as z is C-contiguous
+        n = flat.size
+        r = self.uniform(n)
+        noise = np.empty(min(n, _NOISE_BLOCK), dtype=np.complex128)
+        for start in range(0, n, _NOISE_BLOCK):
+            stop = min(start + _NOISE_BLOCK, n)
+            block = noise[: stop - start]
+            lanes = block.view(np.float64)
+            _box_muller(r[start:stop], self.uniform(stop - start),
+                        lanes.reshape(-1, 2).T)
+            lanes *= 1 / math.sqrt(2.0)  # numpy's complex / real: times 1 / real
+            block *= scale
+            flat[start:stop] += block
         return z
+
+
+def _box_muller(r, theta, out):
+    """Standard normals from the uniforms r and theta, both overwritten:
+    out[0] = R cos(Theta) and out[1] = R sin(Theta), with R = sqrt(-2 log(1
+    - r)) and Theta = 2 pi theta.  out is (2, len(r)) and may be a strided
+    view, such as the real and imaginary lanes of a complex array."""
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    np.cos(theta, out=out[0])
+    np.sin(theta, out=out[1])
+    out *= r

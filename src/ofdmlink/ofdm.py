@@ -102,26 +102,40 @@ def assemble(data_symbols, pilot_symbols, grid):
 def disassemble(time_samples, grid):
     """Strip the prefix, transform, undo the assemble scaling.
 
-    Returns (data_bin_values, pilot_bin_values), batched like the input.
+    The frame bodies are transformed in place, so time_samples is
+    overwritten (a complex128 copy of it is, if it is not complex128).
+    Returns (data_bin_values, pilot_bin_values), batched like the input, as
+    new C-ordered arrays.
     """
     time_samples = np.asarray(time_samples, dtype=np.complex128)
     if time_samples.shape[-1] != grid.symbol_len:
         raise FramingError(
             f"expected {grid.symbol_len} time samples, got {time_samples.shape[-1]}"
         )
-    freq = fft(time_samples[..., grid.cp_len :])
-    freq /= grid.scale
-    return freq[..., grid.data_bins], freq[..., grid.pilot_bins]
+    body = time_samples[..., grid.cp_len :]
+    fft(body, out=body)  # out= needs NumPy 2
+    # taken from the whole frames, which take need not copy to make them
+    # contiguous, and scaled once taken
+    data = np.take(time_samples, grid.cp_len + grid.data_bins, axis=-1)
+    pilots = np.take(time_samples, grid.cp_len + grid.pilot_bins, axis=-1)
+    data /= grid.scale
+    pilots /= grid.scale
+    return data, pilots
 
 
 def equalize_one_tap(bin_values, response):
-    """Zero-forcing: divide each bin by its channel response."""
+    """Zero-forcing: divide each bin by its channel response.
+
+    response must broadcast to the shape of bin_values; |H| is checked on
+    response as given, before the division broadcasts it.
+    """
     bin_values = np.asarray(bin_values, dtype=np.complex128)
-    response = np.broadcast_to(np.asarray(response, dtype=np.complex128),
-                               bin_values.shape)
-    mags = np.abs(response)
-    bad = np.nonzero(mags < 1e-12)
-    if len(bad[0]):
-        first = tuple(axis[0] for axis in bad)
-        raise SingularChannelError(first[-1], float(mags[first]))
+    response = np.asarray(response, dtype=np.complex128)
+    np.broadcast_to(response, bin_values.shape)  # a view: checks the shapes
+    if bin_values.size:
+        mags = np.abs(np.atleast_1d(response))
+        bad = np.nonzero(mags < 1e-12)
+        if len(bad[0]):
+            first = tuple(axis[0] for axis in bad)
+            raise SingularChannelError(first[-1], float(mags[first]))
     return bin_values / response

@@ -61,9 +61,10 @@ MSE_WINDOW = 100
 
 # the longest SNR grid a config file may ask for
 _MAX_SNR_POINTS = 10_000
-# the largest point a config may ask for: a coded Rician pre-FFT LMS point,
-# the heaviest chain, peaks near 0.33 GB per 10^6 bits; a sweep runs its
-# points one at a time, so it peaks no higher than its largest point
+# the largest point a config may ask for: a coded Rician QPSK point, the
+# heaviest chain, peaks near 0.17 GB per 10^6 bits (in its Rician taps); a
+# sweep runs its points one at a time, so it peaks no higher than its
+# largest point
 _MAX_N_BITS = 4_000_000
 # each training symbol adds 320 LMS updates to every pre-FFT point
 _MAX_TRAINING_SYMBOLS = 100
@@ -314,24 +315,27 @@ def _transmit(bits, n_train, known_pilots, spec, grid, rng):
 def _through_channel(cfg, flat, grid, rng):
     """Pass the transmitted samples through cfg.channel, without the noise.
 
-    Returns ``(rx, taps, noise_ref)``.  taps are the true taps: the static
-    ones, the unit tap on AWGN, or per frame the mean of the Rician
-    trajectories (n_frames, n_taps), so that the (n_taps, n_samples)
-    trajectories do not outlive this stage.  noise_ref is the power that
-    add_awgn scales the noise against: snr_db is realized as Es/N0 per
-    active subcarrier, so it is the transmitted power times the
-    FFT-size/active duty factor.
+    Returns ``(rx, taps, noise_ref)``.  rx is a new buffer that the point
+    owns, never a view of flat: on AWGN a copy of it, on Rician fading a
+    view of the trajectory buffer that ``apply_fading`` sums into.  Every
+    later stage works in rx.  taps are the true taps: the static ones, the
+    unit tap on AWGN, or per frame the mean of the Rician trajectories
+    (n_frames, n_taps), taken before the fading overwrites them.
+    noise_ref is the power that add_awgn scales the noise against: snr_db
+    is realized as Es/N0 per active subcarrier, so it is the transmitted
+    power times the FFT-size/active duty factor.
     """
     signal_power = float(np.mean(np.abs(flat) ** 2))
     if cfg.channel == "awgn":
-        rx, taps = flat, np.ones(1, dtype=np.complex128)
+        rx, taps = flat.copy(), np.ones(1, dtype=np.complex128)
     elif cfg.channel == "static":
         rx, taps = static_multipath(flat, UNIT_TAPS), UNIT_TAPS
     else:
         chan = ChannelConfig(cfg.channel, cfg.k_factor, cfg.doppler_hz)
         realization = rician_taps(chan, flat.size, rng)
-        rx, traj = apply_fading(flat, realization), realization.tap_trajectories
+        traj = realization.tap_trajectories
         taps = traj.reshape(len(traj), -1, grid.symbol_len).mean(axis=2).T
+        rx = apply_fading(flat, realization)
     duty = grid.fft_size / grid.n_active
     return rx, taps, signal_power * duty
 
@@ -380,7 +384,9 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
     then one Viterbi decode when cfg.coding is cc_k7, then the bit
     comparison.  Each full-size array is dropped as soon as the stages
     after it no longer need it, so the point's heap holds about one
-    stage's arrays at a time.
+    stage's arrays at a time.  The channel output is the one working
+    buffer of the sample stream: the noise, the pre-FFT equalizer and the
+    FFT all run in place in it.
     """
     _check_snr("snr_db", snr_db)
     modulation = modulation or cfg.modulations[0]
@@ -401,7 +407,7 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
     training = flat[: n_train * grid.symbol_len].copy()
     rx, taps, noise_ref = _through_channel(cfg, flat, grid, rng)
     # the noise is the last draw: it is added once the transmitted stream
-    # is dropped (on AWGN that stream is the channel output itself)
+    # is dropped
     del coded, flat
     rx = add_awgn(rx, snr_db, noise_ref, rng)
     if receiver.time_domain:
@@ -467,7 +473,8 @@ def run_lms_trace(cfg):
     best = first_divergence = None
     for mu in (cfg.lms_mu,) if cfg.lms_mu > 0 else _MU_CANDIDATES:
         try:
-            _, trace = equalize_pre_fft(rx, flat, cfg.lms_taps, mu)
+            # the equalizer works in place: each candidate gets its own copy
+            _, trace = equalize_pre_fft(rx.copy(), flat, cfg.lms_taps, mu)
         except DivergenceError as exc:
             first_divergence = first_divergence or exc
             continue

@@ -181,7 +181,7 @@ def test_criterion_7_channel_statistics():
     sig = np.ones(100_000, complex)
     awgn_ok = True
     for esn0 in (0.0, 10.0):
-        out = add_awgn(sig, esn0, 1.0, RngStream(30, int(esn0)))
+        out = add_awgn(sig.copy(), esn0, 1.0, RngStream(30, int(esn0)))
         measured = -10 * np.log10(np.mean(np.abs(out - sig) ** 2))
         awgn_ok = awgn_ok and abs(measured - esn0) < 0.2
 

@@ -8,7 +8,7 @@ from ofdmlink.channel import (DEFAULT_TAPS, UNIT_TAPS, ChannelConfig,
                               ChannelRealization, add_awgn, apply_fading,
                               rician_taps, static_multipath, _jakes_process)
 from ofdmlink.errors import ConfigurationError, FramingError
-from ofdmlink.numerics import RngStream
+from ofdmlink.numerics import _NOISE_BLOCK, RngStream
 
 
 def convolution_oracle(signal, taps):
@@ -23,27 +23,29 @@ def convolution_oracle(signal, taps):
 
 def test_awgn_vanishing_noise():
     sig = np.exp(1j * np.arange(100))
-    out = add_awgn(sig, 300.0, 1.0, RngStream(1, 0))
+    out = add_awgn(sig.copy(), 300.0, 1.0, RngStream(1, 0))
     assert np.max(np.abs(out - sig)) < 1e-9
 
 
 def test_awgn_noise_power_at_0db():
     sig = np.ones(100_000, complex)
-    out = add_awgn(sig, 0.0, 1.0, RngStream(2, 0))
+    out = add_awgn(sig.copy(), 0.0, 1.0, RngStream(2, 0))
     assert abs(np.mean(np.abs(out - sig) ** 2) - 1.0) < 0.02
 
 
 def test_awgn_power_ratio_0_vs_10db():
     sig = np.ones(100_000, complex)
-    p0 = np.mean(np.abs(add_awgn(sig, 0.0, 1.0, RngStream(3, 0)) - sig) ** 2)
-    p10 = np.mean(np.abs(add_awgn(sig, 10.0, 1.0, RngStream(3, 1)) - sig) ** 2)
+    p0 = np.mean(
+        np.abs(add_awgn(sig.copy(), 0.0, 1.0, RngStream(3, 0)) - sig) ** 2)
+    p10 = np.mean(
+        np.abs(add_awgn(sig.copy(), 10.0, 1.0, RngStream(3, 1)) - sig) ** 2)
     assert abs(p0 / p10 - 10.0) < 0.4
 
 
 @pytest.mark.parametrize("esn0", [0.0, 7.0, 20.0])
 def test_awgn_calibration_within_0p2_db(esn0):
     sig = np.ones(100_000, complex)
-    out = add_awgn(sig, esn0, 1.0, RngStream(4, int(esn0)))
+    out = add_awgn(sig.copy(), esn0, 1.0, RngStream(4, int(esn0)))
     measured = -10 * np.log10(np.mean(np.abs(out - sig) ** 2))
     assert abs(measured - esn0) < 0.2
 
@@ -157,7 +159,7 @@ def test_apply_fading_single_tap_samplewise():
     rng = np.random.default_rng(2)
     sig = rng.normal(size=50) + 1j * rng.normal(size=50)
     traj = (rng.normal(size=(1, 50)) + 1j * rng.normal(size=(1, 50)))
-    real = ChannelRealization(traj)
+    real = ChannelRealization(traj.copy())
     assert np.allclose(apply_fading(sig, real), traj[0] * sig)
 
 
@@ -200,29 +202,43 @@ def test_apply_fading_bit_for_bit_with_the_product_loop(n):
     rng = np.random.default_rng(n)
     sig = rng.normal(size=n) + 1j * rng.normal(size=n)
     traj = rng.normal(size=(4, n + 2)) + 1j * rng.normal(size=(4, n + 2))
-    got = apply_fading(sig, ChannelRealization(traj))
+    got = apply_fading(sig, ChannelRealization(traj.copy()))
     expected = _fading_loop(sig, traj)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-@pytest.mark.parametrize("n, esn0_db", [(0, 10.0), (1, 0.0), (7, 3.5),
-                                        (44_800, 20.0)])
+@pytest.mark.parametrize("n, esn0_db", [
+    (0, 10.0), (1, 0.0), (7, 3.5), (_NOISE_BLOCK - 1, 1.0),
+    (_NOISE_BLOCK, 1.0), (_NOISE_BLOCK + 1, 1.0), (44_800, 20.0),
+    (80_640, 2.0)])
 def test_add_awgn_bit_for_bit_with_the_scaled_sum(n, esn0_db):
-    # add_awgn scales the noise in place and adds the signal into it; the
-    # bits must be those of signal + noise * sqrt(sigma2)
+    # add_awgn adds the noise into the signal block by block; the bits must
+    # be those of signal + noise * sqrt(sigma2), with the noise of one
+    # (2, n) Box-Muller draw scaled by 1/sqrt(2)
     sig = np.exp(1j * np.arange(n)) * 0.8
-    got = add_awgn(sig, esn0_db, 0.64, RngStream(15, n))
+    got = add_awgn(sig.copy(), esn0_db, 0.64, RngStream(15, n))
     sigma2 = 0.64 * 10.0 ** (-esn0_db / 10.0)
-    noise = RngStream(15, n).complex_normal(n)
+    z = RngStream(15, n).normal(2 * n)
+    noise = (z[:n] + 1j * z[n:]) / math.sqrt(2.0)
     expected = sig + noise * np.sqrt(sigma2)
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+def test_add_awgn_writes_into_the_signal():
+    sig = np.ones((3, 5), dtype=np.complex128)
+    assert add_awgn(sig, 10.0, 1.0, RngStream(16, 1)) is sig
+    assert not np.array_equal(sig, np.ones((3, 5)))
+    # a real signal is not a buffer of the output type: it is copied
+    real = np.ones(4)
+    out = add_awgn(real, 10.0, 1.0, RngStream(16, 2))
+    assert out.dtype == np.complex128 and np.array_equal(real, np.ones(4))
+
+
 def test_add_awgn_keeps_the_signal_shape():
     sig = np.ones((3, 5), dtype=np.complex128)
-    out = add_awgn(sig, 10.0, 1.0, RngStream(16, 0))
+    out = add_awgn(sig.copy(), 10.0, 1.0, RngStream(16, 0))
     assert out.shape == (3, 5)
-    flat = add_awgn(sig.ravel(), 10.0, 1.0, RngStream(16, 0))
+    flat = add_awgn(sig.ravel().copy(), 10.0, 1.0, RngStream(16, 0))
     assert np.array_equal(out.ravel(), flat)
 
 

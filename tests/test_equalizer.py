@@ -5,6 +5,7 @@ import pytest
 from numpy.fft import fft
 
 from ofdmlink.channel import DEFAULT_TAPS, static_multipath
+from ofdmlink import equalizer
 from ofdmlink.equalizer import PilotLmsEstimator, equalize_pre_fft
 from ofdmlink.errors import ConfigurationError, DivergenceError
 from ofdmlink.modem import constellation, map_bits
@@ -138,7 +139,7 @@ def test_windowed_mse_non_increasing_on_identification():
 def test_pre_fft_identity_channel():
     rng = np.random.default_rng(7)
     tx = (rng.normal(size=2000) + 1j * rng.normal(size=2000)) / np.sqrt(2)
-    out, trace = equalize_pre_fft(tx, tx, 1, 0.1)
+    out, trace = equalize_pre_fft(tx.copy(), tx, 1, 0.1)
     assert abs(trace.final_weights[0] - 1.0) < 1e-3
     assert np.mean(np.abs(out[500:] - tx[500:]) ** 2) < 1e-3
 
@@ -166,7 +167,7 @@ def test_pre_fft_table_channel_convergence():
     rx = static_multipath(tx, taps)
 
     def final_mse(mu):
-        _, trace = equalize_pre_fft(rx, tx, 11, mu)
+        _, trace = equalize_pre_fft(rx.copy(), tx, 11, mu)
         return float(trace.squared_errors[-100:].mean())
 
     final = min(final_mse(mu) for mu in _MU_CANDIDATES)
@@ -323,7 +324,7 @@ def _noisy_table_channel(n, seed):
 ])
 def test_pre_fft_frozen_span_matches_per_sample_loop(n_rx, n_train, n_taps):
     tx, rx = _noisy_table_channel(max(n_rx, n_train), seed=n_rx)
-    out, trace = equalize_pre_fft(rx[:n_rx], tx[:n_train], n_taps, 3e-3)
+    out, trace = equalize_pre_fft(rx[:n_rx].copy(), tx[:n_train], n_taps, 3e-3)
     ref_out, ref_sq, ref_w = _reference_pre_fft(rx[:n_rx], tx[:n_train],
                                                 n_taps, 3e-3)
     n_adapt = min(n_rx, n_train)
@@ -331,6 +332,46 @@ def test_pre_fft_frozen_span_matches_per_sample_loop(n_rx, n_train, n_taps):
     assert np.array_equal(trace.squared_errors, ref_sq)
     assert np.array_equal(trace.final_weights, ref_w)
     assert np.max(np.abs(out - ref_out)) < 1e-12
+
+
+_FROZEN = equalizer._FROZEN_CHUNK
+
+
+@pytest.mark.parametrize("n_rx, n_train, n_taps", [
+    (640 + _FROZEN - 1, 640, 11),
+    (640 + _FROZEN, 640, 11),
+    (640 + _FROZEN + 1, 640, 11),
+    (640 + 2 * _FROZEN + 5, 640, 12),
+    (645, 640, 11),  # a frozen span shorter than the kernel
+    (17_027, 640, 11),
+    (641, 640, 320),
+    (640 + _FROZEN + 3, 640, 320),  # a last chunk shorter than the kernel
+    (1000, 400, 1),
+])
+def test_pre_fft_chunked_frozen_span_bit_for_bit_with_one_convolve(
+        n_rx, n_train, n_taps):
+    # the frozen span, chunk by chunk in place, must be the bits of one
+    # full-length convolve with the frozen taps, and the training span the
+    # per-sample loop's; the training copy is padded alone
+    tx, rx = _noisy_table_channel(n_rx, seed=n_rx + n_taps)
+    out, trace = equalize_pre_fft(rx.copy(), tx[:n_train], n_taps, 1e-3)
+    delay = n_taps // 2
+    frozen = np.convolve(rx, np.conj(trace.final_weights))[
+        n_train + delay : n_rx + delay]
+    assert np.array_equal(out[n_train:].view(np.uint64),
+                          frozen.view(np.uint64))
+    ref_out, ref_sq, ref_w = _reference_pre_fft(rx[:n_train + delay],
+                                                tx[:n_train], n_taps, 1e-3)
+    assert np.array_equal(out[:n_train], ref_out[:n_train])
+    assert np.array_equal(trace.final_weights, ref_w)
+
+
+def test_pre_fft_writes_into_rx():
+    tx, rx = _noisy_table_channel(2000, seed=13)
+    expected, _ = equalize_pre_fft(rx.copy(), tx[:640], 11, 3e-3)
+    out, _ = equalize_pre_fft(rx, tx[:640], 11, 3e-3)
+    assert out is rx
+    assert np.array_equal(rx, expected)
 
 
 def _outcome(equalizer, rx, training, n_taps, step_size):
@@ -343,7 +384,7 @@ def _outcome(equalizer, rx, training, n_taps, step_size):
 
 
 def _kernel(rx, training, n_taps, step_size):
-    out, trace = equalize_pre_fft(rx, training, n_taps, step_size)
+    out, trace = equalize_pre_fft(rx.copy(), training, n_taps, step_size)
     return out, trace.squared_errors, trace.final_weights
 
 

@@ -183,10 +183,10 @@ def _count_single_row_passes(monkeypatch):
     calls = []
     real = fec._acs
 
-    def counting(pm, tab, groups, hist):
+    def counting(pm, tab, groups, hist, marks=None):
         if len(pm) == 1:
             calls.append(hist.shape[1])
-        real(pm, tab, groups, hist)
+        real(pm, tab, groups, hist, marks)
     monkeypatch.setattr(fec, "_acs", counting)
     return calls
 
@@ -202,6 +202,36 @@ def test_failed_segment_check_reruns_and_stays_exact(monkeypatch):
     length = -(-(1000 - 1) // 16)
     assert len(reruns) >= 1
     assert set(reruns) <= {length, 1000 - 1 - 15 * length}
+
+
+def test_failed_segment_rerun_stops_where_the_metrics_meet(monkeypatch):
+    # a one-pass warm-up fails most checks on a noisy 44 000-bit block; each
+    # rerun runs ring by ring from its segment's start and stops at the
+    # first ring end where its metrics meet the stacked row's
+    monkeypatch.setattr(fec, "_WARMUP", 1)
+    real = fec._acs
+    spans = []  # (first pass, end pass) of every single-row call
+
+    def recording(pm, tab, groups, hist, marks=None):
+        if len(pm) == 1:
+            start = groups.ctypes.data - groups.base.ctypes.data
+            spans.append((start, start + len(groups)))
+        real(pm, tab, groups, hist, marks)
+    monkeypatch.setattr(fec, "_acs", recording)
+    noisy = _noisy_word(np.random.default_rng(12), 44000, 0.2)
+    assert np.array_equal(viterbi_decode(noisy), _reference_viterbi(noisy))
+    n_passes = (44000 + DEFAULT_CODE.tail_bits) // 4  # no head
+    length = -(-(n_passes - 1) // 16)
+    reruns = {}
+    for start, end in spans:
+        k, offset = divmod(start - 1, length)
+        assert end - start <= fec._RING
+        # each call continues its segment's rerun from where it stopped
+        assert offset == reruns.get(k, 0)
+        reruns[k] = offset + end - start
+    assert len(reruns) >= 2
+    assert any(run < min(length, n_passes - 1 - k * length)
+               for k, run in reruns.items())
 
 
 # head is n_steps % 4: the head steps are a table lookup, not a pass
@@ -229,8 +259,8 @@ def test_metrics_stay_renormalised_on_adversarial_blocks(monkeypatch, make):
     real = fec._acs
     seen = []
 
-    def checking(pm, tab, groups, hist):
-        real(pm, tab, groups, hist)
+    def checking(pm, tab, groups, hist, marks=None):
+        real(pm, tab, groups, hist, marks)
         assert pm.dtype == np.int16
         assert (pm.min(axis=1) == 0).all()
         assert pm.max() <= _METRIC_SPAN

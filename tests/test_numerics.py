@@ -5,6 +5,7 @@ import pytest
 from numpy.fft import fft, ifft
 
 from ofdmlink.errors import ConfigurationError
+from ofdmlink import numerics
 from ofdmlink.numerics import RngStream
 from theory import binomial_ci, q_function
 
@@ -142,15 +143,38 @@ def test_normal_into_out_fills_both_rows():
                           expected.view(np.uint64))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 10_001])
-def test_complex_normal_bit_for_bit_with_the_joined_quotient(n):
-    # complex_normal fills the lanes of one buffer and scales them in place;
-    # the bits must be those of (z[:n] + 1j * z[n:]) / sqrt(2)
-    got = RngStream(20, n).complex_normal(n)
+_BLOCK = numerics._NOISE_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 10_001, _BLOCK - 1, _BLOCK,
+                               _BLOCK + 1, 2 * _BLOCK + 3])
+def test_add_complex_normal_bit_for_bit_with_the_joined_quotient(n):
+    # the noise is made block by block in the lanes of one buffer and
+    # scaled there; the bits must be those of signal + noise * scale with
+    # noise = (z[:n] + 1j * z[n:]) / sqrt(2) from one normal(2 n) draw
+    signal = np.exp(1j * np.arange(n)) * 0.8
+    got = signal.copy()
+    assert RngStream(20, n).add_complex_normal(got, 0.3) is got
     z = RngStream(20, n).normal(2 * n)
-    expected = (z[:n] + 1j * z[n:]) / math.sqrt(2.0)
-    assert got.dtype == np.complex128 and got.shape == (n,)
+    expected = signal + (z[:n] + 1j * z[n:]) / math.sqrt(2.0) * 0.3
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 7, 4097, _BLOCK + 1, 44_800])
+def test_add_complex_normal_leaves_the_stream_as_one_draw(n):
+    # n radius uniforms, then the angles block by block: the stream moves
+    # on by 2 n uniforms, as normal(2 n) moves it
+    blocked, joined = RngStream(21, n), RngStream(21, n)
+    blocked.add_complex_normal(np.zeros(n, dtype=np.complex128), 1.0)
+    joined.normal(2 * n)
+    assert np.array_equal(blocked.uniform(5), joined.uniform(5))
+
+
+def test_add_complex_normal_rejects_a_buffer_it_cannot_write_through():
+    rng = RngStream(22, 0)
+    for z in (np.zeros(8), np.zeros((4, 4), dtype=np.complex128).T):
+        with pytest.raises(ValueError, match="C-contiguous complex128"):
+            rng.add_complex_normal(z, 1.0)
 
 
 def test_gaussian_moments():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.fft import fft, ifft
@@ -132,6 +134,50 @@ def test_equalize_singular_channel():
     assert exc.value.bin_index == 3
 
 
+def _first_singular_bin(bin_values, response):
+    """The bin and |H| the check on the broadcast response names first."""
+    mags = np.abs(np.broadcast_to(response, np.shape(bin_values)))
+    first = tuple(axis[0] for axis in np.nonzero(mags < 1e-12))
+    return first[-1], float(mags[first])
+
+
+@pytest.mark.parametrize("shape", [(175,), (6, 175), (1, 175), (6, 1)])
+@pytest.mark.parametrize("bad", [0.0, 1e-15])
+def test_equalize_singular_bin_named_as_on_the_broadcast_response(shape, bad):
+    # |H| is checked on the response as given; the error names the bin and
+    # the magnitude that a check on the broadcast (6, 175) response names
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    bins = rng.normal(size=(6, 175)) + 1j * rng.normal(size=(6, 175))
+    response = 1.0 + rng.random(shape) + 0j
+    response.flat[-2 if shape[-1] > 1 else 0] = bad
+    if response.size > 2:
+        response.flat[response.size // 2] = bad * 0.5
+    with pytest.raises(SingularChannelError) as exc:
+        equalize_one_tap(bins, response)
+    assert (exc.value.bin_index, exc.value.magnitude) == \
+        _first_singular_bin(bins, response)
+
+
+def test_equalize_keeps_a_per_bin_response_unbroadcast():
+    # a (175,) response over (500, 175) bins: the quotient is the one
+    # full-size array, no (500, 175) magnitudes
+    bins = np.ones((500, 175), dtype=complex)
+    response = np.full(175, 2.0 + 0j)
+    tracemalloc.start()
+    try:
+        out = equalize_one_tap(bins, response)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, bins / response)
+    assert peak < 1.1 * out.nbytes
+
+
+def test_equalize_rejects_a_response_that_does_not_broadcast():
+    with pytest.raises(ValueError):
+        equalize_one_tap(np.ones((2, 175), complex), np.ones((3, 175)))
+
+
 def test_full_chain_noiseless_recovery():
     from ofdmlink.modem import constellation, map_bits
 
@@ -167,5 +213,15 @@ def test_assemble_and_disassemble_bit_for_bit_with_the_scaled_transforms(
     for got, bins in zip(disassemble(rx, GRID),
                          (GRID.data_bins, GRID.pilot_bins)):
         expected = np.ascontiguousarray(spectrum[..., bins])
-        assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
-                              expected.view(np.uint64))
+        # the bins come out C-ordered, so a ravel of them is a view
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_disassemble_transforms_the_frames_in_place():
+    d, p = random_payload(np.random.default_rng(9), 4)
+    frames = assemble(d, p, GRID)
+    body = fft(frames[..., GRID.cp_len :])
+    data, _ = disassemble(frames, GRID)
+    assert np.array_equal(frames[..., GRID.cp_len :], body)
+    assert not np.shares_memory(data, frames)

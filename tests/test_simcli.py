@@ -810,24 +810,71 @@ def test_receivers_get_a_copy_of_the_training_span(monkeypatch, receiver,
         assert trainings == []
 
 
+@pytest.mark.parametrize("coding", ["none", "cc_k7"])
+@pytest.mark.parametrize("receiver", _RECEIVERS)
+def test_demap_reads_the_receivers_output_without_a_copy(monkeypatch,
+                                                         receiver, coding):
+    outputs, inputs = [], []
+    real_equalize, real_demap = (simcli._RECEIVERS[receiver].equalize,
+                                 simcli.demap_hard)
+
+    def equalize(*args):
+        outputs.append(real_equalize(*args))
+        return outputs[-1]
+
+    def demap_hard(symbols, spec):
+        inputs.append(symbols)
+        return real_demap(symbols, spec)
+    monkeypatch.setitem(simcli._RECEIVERS, receiver, replace(
+        simcli._RECEIVERS[receiver], equalize=equalize))
+    monkeypatch.setattr(simcli, "demap_hard", demap_hard)
+    run_point(SimConfig(channel="static", coding=coding,
+                        receiver_mode=receiver, n_bits=800), 20.0)
+    (output,), (symbols,) = outputs, inputs
+    assert np.shares_memory(symbols, output)
+
+
+def _warm_point_peak(cfg, snr_db):
+    """tracemalloc peak, in bytes, of run_point(cfg, snr_db) run a second
+    time, once the cached tables are built."""
+    run_point(cfg, snr_db)
+    tracemalloc.start()
+    try:
+        run_point(cfg, snr_db)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # tracemalloc peak, in bytes, of one warm coded QPSK pilot_fd_lms point over
-# static multipath at the defaults (44 000 bits) with each stage's arrays
-# dropped when the stage ends; it was 7 551 614 while every array lived until
-# run_point returned
-_CODED_POINT_PEAK = 4_126_180
+# static multipath at the defaults (44 000 bits), with every stage after the
+# channel working in the channel's output; it was 7 551 614 while every array
+# lived until run_point returned, and 4 126 180 with each stage's arrays
+# dropped when the stage ends but the noise, the FFT and the bins in arrays
+# of their own
+_CODED_POINT_PEAK = 2_871_197
 
 
 def test_coded_point_peak_stays_at_one_stage():
     cfg = SimConfig(channel="static", coding="cc_k7",
                     receiver_mode="pilot_fd_lms")
-    run_point(cfg, 2.0)  # builds the cached tables untraced
-    tracemalloc.start()
-    try:
-        run_point(cfg, 2.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.2 * _CODED_POINT_PEAK
+    assert _warm_point_peak(cfg, 2.0) <= 1.1 * _CODED_POINT_PEAK
+
+
+# the same for warm uncoded QPSK points at the defaults, with the parent
+# layout's peaks (separate noise, FFT and pre-FFT output arrays) noted
+_POINT_PEAKS = {
+    # 2 851 419 in the pre-FFT equalizer
+    ("static", "pre_fft_lms"): 1_550_933,
+    # 4 616 669 in apply_fading; now in rician_taps
+    ("rician", "known_channel_zf"): 4_192_629,
+}
+
+
+@pytest.mark.parametrize("channel, receiver", _POINT_PEAKS)
+def test_uncoded_point_peak_stays_at_one_stage(channel, receiver):
+    cfg = SimConfig(channel=channel, receiver_mode=receiver)
+    assert _warm_point_peak(cfg, 2.0) <= 1.1 * _POINT_PEAKS[channel, receiver]
 
 
 # the modulations README's noiseless table (and, for the genie receiver,
