@@ -37,6 +37,7 @@ UNIT_TAPS.setflags(write=False)
 SAMPLE_RATE_HZ = 4000.0
 
 _N_SINUSOIDS = 32
+_FIR_CHUNK = 8192  # outputs per convolve in static_multipath
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,26 @@ def add_awgn(signal, esn0_db, signal_power, rng):
 
 
 def static_multipath(signal, taps):
-    """FIR channel: linear convolution truncated to the input length."""
+    """FIR channel: linear convolution truncated to the input length, in
+    place.
+
+    The outputs overwrite signal, which is returned; a signal that is not a
+    complex128 array is copied to one first, and the copy returned.  The
+    filter runs on chunks of _FIR_CHUNK outputs, last chunk first, each
+    convolved together with the len(taps) - 1 samples before it, which no
+    later chunk has overwritten yet.  So every output is the dot product
+    that one full-length np.convolve(signal, taps) makes, on the same
+    memory, and no input is shorter than the taps (convolve would swap the
+    two, and sum in another order).
+    """
     signal = np.asarray(signal, dtype=np.complex128)
     taps = np.asarray(taps, dtype=np.complex128)
-    return np.convolve(signal, taps)[: signal.size]
+    chunk = max(_FIR_CHUNK, len(taps))
+    for a in reversed(range(0, len(signal), chunk)):
+        b = min(a + chunk, len(signal))
+        start = max(a - len(taps) + 1, 0)
+        signal[a:b] = np.convolve(signal[start:b], taps)[a - start : b - start]
+    return signal
 
 
 def _jakes_process(n_taps, n_samples, doppler_norm, rng):

@@ -190,12 +190,20 @@ class PilotLmsEstimator:
             raise DivergenceError(frame + 1, self.step_size,
                                   detail=f"pilot bin {pilot_bin}")
         # np.interp onto the data bins, real and imaginary parts apart, with
-        # its own arithmetic slope * (x - xp[j]) + fp[j], so the same bits
-        parts = []
-        for fp in (h.real, h.imag):
+        # its own arithmetic slope * (x - xp[j]) + fp[j], so the same bits.
+        # Each part is made in its lane of the output, from one gather
+        # buffer: the bits of re + 1j * im, which differ from the lanes only
+        # where a part is -0.0, and no part is, as h starts from +0.0 and
+        # grows by sums, which are -0.0 only when both terms are
+        out = np.empty((len(h), len(self._interval)), dtype=np.complex128)
+        gathered = np.empty(out.shape)
+        for lane, fp in ((out.real, h.real), (out.imag, h.imag)):
             fp = fp[:, self._pilot_order]
             slope = np.zeros_like(fp)
             slope[:, :-1] = np.diff(fp, axis=1) / np.diff(self._freq_pilot)
-            parts.append(slope[:, self._interval] * self._offset
-                         + fp[:, self._interval])
-        return parts[0] + 1j * parts[1]
+            # mode="clip" takes straight into gathered; "raise" would buffer
+            np.take(slope, self._interval, axis=1, out=gathered, mode="clip")
+            np.multiply(gathered, self._offset, out=lane)
+            np.take(fp, self._interval, axis=1, out=gathered, mode="clip")
+            lane += gathered
+        return out

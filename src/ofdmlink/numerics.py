@@ -53,18 +53,14 @@ class RngStream:
         """n equiprobable 0/1 bits."""
         return self._gen.integers(0, 2, size=n, dtype=np.uint8)
 
-    def normal(self, n, out=None):
+    def normal(self, n):
         """n independent standard normals (vectorized Box-Muller): r cos(theta)
-        for the first (n + 1) // 2, then r sin(theta).
-
-        With out, a float64 array of shape (2, (n + 1) // 2), the cosines go
-        to out[0] and the sines to out[1], and out is returned.
-        """
+        for the first (n + 1) // 2, then r sin(theta)."""
         half = (n + 1) // 2
         r, theta = self._gen.random((2, half))
-        pair = np.empty((2, half)) if out is None else out
+        pair = np.empty((2, half))
         _box_muller(r, theta, pair)
-        return pair if out is not None else pair.reshape(-1)[:n]
+        return pair.reshape(-1)[:n]
 
     def add_complex_normal(self, z, scale):
         """Add scale times n circular complex Gaussians of unit total

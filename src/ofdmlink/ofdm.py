@@ -124,10 +124,12 @@ def disassemble(time_samples, grid):
 
 
 def equalize_one_tap(bin_values, response):
-    """Zero-forcing: divide each bin by its channel response.
+    """Zero-forcing: divide each bin by its channel response, in place.
 
     response must broadcast to the shape of bin_values; |H| is checked on
-    response as given, before the division broadcasts it.
+    response as given, before the division broadcasts it.  The quotients
+    overwrite bin_values, which is returned; a bin_values that is not a
+    complex128 array is copied to one first, and the copy returned.
     """
     bin_values = np.asarray(bin_values, dtype=np.complex128)
     response = np.asarray(response, dtype=np.complex128)
@@ -138,4 +140,5 @@ def equalize_one_tap(bin_values, response):
         if len(bad[0]):
             first = tuple(axis[0] for axis in bad)
             raise SingularChannelError(first[-1], float(mags[first]))
-    return bin_values / response
+    bin_values /= response
+    return bin_values

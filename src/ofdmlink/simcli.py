@@ -315,19 +315,21 @@ def _transmit(bits, n_train, known_pilots, spec, grid, rng):
 def _through_channel(cfg, flat, grid, rng):
     """Pass the transmitted samples through cfg.channel, without the noise.
 
-    Returns ``(rx, taps, noise_ref)``.  rx is a new buffer that the point
-    owns, never a view of flat: on AWGN a copy of it, on Rician fading a
-    view of the trajectory buffer that ``apply_fading`` sums into.  Every
-    later stage works in rx.  taps are the true taps: the static ones, the
-    unit tap on AWGN, or per frame the mean of the Rician trajectories
-    (n_frames, n_taps), taken before the fading overwrites them.
-    noise_ref is the power that add_awgn scales the noise against: snr_db
-    is realized as Es/N0 per active subcarrier, so it is the transmitted
-    power times the FFT-size/active duty factor.
+    Returns ``(rx, taps, noise_ref)``.  rx is the buffer every later stage
+    works in: flat itself on AWGN, and over static multipath flat filtered
+    in place, so a caller that reads the transmitted samples after the
+    channel copies them first; on Rician fading a view of the trajectory
+    buffer that ``apply_fading`` sums into.  taps are the true taps: the
+    static ones, the unit tap on AWGN, or per frame the mean of the Rician
+    trajectories (n_frames, n_taps), taken before the fading overwrites
+    them.  noise_ref is the power that add_awgn scales the noise against:
+    snr_db is realized as Es/N0 per active subcarrier, so it is the
+    transmitted power, measured before the channel, times the
+    FFT-size/active duty factor.
     """
     signal_power = float(np.mean(np.abs(flat) ** 2))
     if cfg.channel == "awgn":
-        rx, taps = flat.copy(), np.ones(1, dtype=np.complex128)
+        rx, taps = flat, np.ones(1, dtype=np.complex128)
     elif cfg.channel == "static":
         rx, taps = static_multipath(flat, UNIT_TAPS), UNIT_TAPS
     else:
@@ -384,9 +386,11 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
     then one Viterbi decode when cfg.coding is cc_k7, then the bit
     comparison.  Each full-size array is dropped as soon as the stages
     after it no longer need it, so the point's heap holds about one
-    stage's arrays at a time.  The channel output is the one working
-    buffer of the sample stream: the noise, the pre-FFT equalizer and the
-    FFT all run in place in it.
+    stage's arrays at a time.  The transmitted stream is the one working
+    buffer of the samples on AWGN and static multipath, and the fading's
+    output is on Rician fading: the channel, the noise, the pre-FFT
+    equalizer and the FFT all run in place in it, and zero forcing divides
+    the bins in place.
     """
     _check_snr("snr_db", snr_db)
     modulation = modulation or cfg.modulations[0]
@@ -406,8 +410,8 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
                              grid, rng)
     training = flat[: n_train * grid.symbol_len].copy()
     rx, taps, noise_ref = _through_channel(cfg, flat, grid, rng)
-    # the noise is the last draw: it is added once the transmitted stream
-    # is dropped
+    # the noise is the last draw; on Rician fading it is added once the
+    # transmitted stream is dropped
     del coded, flat
     rx = add_awgn(rx, snr_db, noise_ref, rng)
     if receiver.time_domain:
@@ -464,17 +468,19 @@ def run_lms_trace(cfg):
     rng = RngStream(cfg.seed, 0)
     no_payload = np.zeros(0, dtype=np.uint8)
     flat, _ = _transmit(no_payload, cfg.training_symbols, True, spec, grid, rng)
+    # the channel may filter flat in place: the training reference is a copy
+    training = flat.copy()
     rx, _, noise_ref = _through_channel(cfg, flat, grid, rng)
     rx = add_awgn(rx, cfg.snr_grid_db[0], noise_ref, rng)
     # error power of the unadapted (zero-weight) equalizer, i.e. the
     # reference level the converged MSE is compared against
-    initial_mse = float(np.mean(np.abs(flat) ** 2))
+    initial_mse = float(np.mean(np.abs(training) ** 2))
 
     best = first_divergence = None
     for mu in (cfg.lms_mu,) if cfg.lms_mu > 0 else _MU_CANDIDATES:
         try:
             # the equalizer works in place: each candidate gets its own copy
-            _, trace = equalize_pre_fft(rx.copy(), flat, cfg.lms_taps, mu)
+            _, trace = equalize_pre_fft(rx.copy(), training, cfg.lms_taps, mu)
         except DivergenceError as exc:
             first_divergence = first_divergence or exc
             continue

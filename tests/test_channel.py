@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from ofdmlink.channel import (DEFAULT_TAPS, UNIT_TAPS, ChannelConfig,
-                              ChannelRealization, add_awgn, apply_fading,
-                              rician_taps, static_multipath, _jakes_process)
+from ofdmlink.channel import (_FIR_CHUNK, DEFAULT_TAPS, UNIT_TAPS,
+                              ChannelConfig, ChannelRealization, add_awgn,
+                              apply_fading, rician_taps, static_multipath,
+                              _jakes_process)
 from ofdmlink.errors import ConfigurationError, FramingError
 from ofdmlink.numerics import _NOISE_BLOCK, RngStream
 
@@ -60,15 +61,38 @@ def test_static_multipath_impulse_raw_taps():
 
 def test_static_multipath_identity():
     sig = np.arange(20) + 1j
-    assert np.allclose(static_multipath(sig, np.array([1.0])), sig)
+    assert np.allclose(static_multipath(sig.copy(), np.array([1.0])), sig)
 
 
 def test_static_multipath_matches_oracle():
     rng = np.random.default_rng(0)
     sig = rng.normal(size=200) + 1j * rng.normal(size=200)
     taps = rng.normal(size=5) + 1j * rng.normal(size=5)
-    got = static_multipath(sig, taps)
+    got = static_multipath(sig.copy(), taps)
     assert np.max(np.abs(got - convolution_oracle(sig, taps))) < 1e-12
+
+
+@pytest.mark.parametrize("n_taps", [1, 4, 5])
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, _FIR_CHUNK - 1, _FIR_CHUNK,
+                               _FIR_CHUNK + 1, 2 * _FIR_CHUNK + 3, 44_800])
+def test_static_multipath_in_place_is_bit_equal_to_one_convolve(n, n_taps):
+    # chunks filtered last first, each with the n_taps - 1 samples before
+    # it; n < n_taps is one convolve that swaps its inputs, as the full one
+    rng = np.random.default_rng(n + n_taps)
+    sig = rng.normal(size=n) + 1j * rng.normal(size=n)
+    taps = rng.normal(size=n_taps) + 1j * rng.normal(size=n_taps)
+    # convolve rejects an empty input: an empty signal stays empty
+    expected = np.convolve(sig.copy(), taps)[:n] if n else sig.copy()
+    got = static_multipath(sig, taps)
+    assert got is sig
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_static_multipath_copies_a_signal_that_is_not_complex128():
+    sig = np.arange(10.0)
+    got = static_multipath(sig, UNIT_TAPS)
+    assert np.array_equal(sig, np.arange(10.0))
+    assert np.array_equal(got, np.convolve(sig, UNIT_TAPS)[:10])
 
 
 def test_config_normalizes_taps():

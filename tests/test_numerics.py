@@ -135,14 +135,6 @@ def test_normal_bit_for_bit_with_the_concatenated_form(n):
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
-def test_normal_into_out_fills_both_rows():
-    out = np.empty((2, 4))
-    assert RngStream(19, 3).normal(7, out=out) is out
-    expected = _box_muller_concatenated(19, 3, 8)
-    assert np.array_equal(out.ravel().view(np.uint64),
-                          expected.view(np.uint64))
-
-
 _BLOCK = numerics._NOISE_BLOCK
 
 

@@ -122,8 +122,8 @@ def test_framing_errors():
 
 def test_equalize_identity_and_scalar():
     v = np.arange(5) + 1j
-    assert np.allclose(equalize_one_tap(v, np.ones(5)), v)
-    assert np.allclose(equalize_one_tap(v, 2 * np.ones(5)), v / 2)
+    assert np.allclose(equalize_one_tap(v.copy(), np.ones(5)), v)
+    assert np.allclose(equalize_one_tap(v.copy(), 2 * np.ones(5)), v / 2)
 
 
 def test_equalize_singular_channel():
@@ -159,18 +159,47 @@ def test_equalize_singular_bin_named_as_on_the_broadcast_response(shape, bad):
 
 
 def test_equalize_keeps_a_per_bin_response_unbroadcast():
-    # a (175,) response over (500, 175) bins: the quotient is the one
-    # full-size array, no (500, 175) magnitudes
+    # a (175,) response over (500, 175) bins: the quotients overwrite the
+    # bins, with no (500, 175) magnitudes or quotient array beside them
     bins = np.ones((500, 175), dtype=complex)
     response = np.full(175, 2.0 + 0j)
+    expected = bins / response
     tracemalloc.start()
     try:
         out = equalize_one_tap(bins, response)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(out, bins / response)
-    assert peak < 1.1 * out.nbytes
+    assert out is bins
+    assert np.array_equal(out, expected)
+    assert peak < 0.1 * out.nbytes
+
+
+@pytest.mark.parametrize("bins_shape, response_shape", [
+    ((1,), (1,)), ((1,), ()), ((1, 1), (1,)), ((175,), (175,)),
+    ((6, 175), (175,)), ((1, 175), (175,)), ((6, 175), (6, 175)),
+    ((6, 175), (6, 1)), ((6, 175), ()),
+])
+def test_equalize_divides_in_place_bit_for_bit(bins_shape, response_shape):
+    # one-element shapes too: numpy may run a one-element in-place
+    # operation as a reduction, with its own loop
+    rng = np.random.default_rng(bins_shape[-1] + len(response_shape))
+    bins = rng.normal(size=bins_shape) + 1j * rng.normal(size=bins_shape)
+    bins.flat[::3] *= -1e-300  # tiny quotients, and signed zeros below
+    bins.flat[1::4] = -0.0
+    response = (0.5 + rng.random(response_shape)
+                - 1j * rng.random(response_shape))
+    expected = bins / response
+    got = equalize_one_tap(bins, response)
+    assert got is bins
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_equalize_copies_bins_that_are_not_complex128():
+    bins = np.arange(1.0, 6.0)
+    out = equalize_one_tap(bins, 2.0)
+    assert np.array_equal(bins, np.arange(1.0, 6.0))
+    assert np.array_equal(out, np.arange(1.0, 6.0) / 2.0)
 
 
 def test_equalize_rejects_a_response_that_does_not_broadcast():

@@ -506,7 +506,7 @@ def test_batched_rician_zf_matches_per_frame_loop():
     expected = np.empty_like(data_rx)
     for i in range(n_frames):
         h_data = np.fft.fft(frame_taps[i], grid.fft_size)[grid.data_bins]
-        expected[i] = equalize_one_tap(data_rx[i], h_data)
+        expected[i] = equalize_one_tap(data_rx[i].copy(), h_data)
     h_data = np.fft.fft(frame_taps, grid.fft_size)[..., grid.data_bins]
     assert np.array_equal(equalize_one_tap(data_rx, h_data), expected)
 
@@ -527,8 +527,10 @@ def test_batched_pilot_division_matches_per_frame_loop(monkeypatch):
     real_disassemble, real_demap = simcli.disassemble, simcli.demap_hard
 
     def disassemble(frames, grid):
-        captured["bins"] = real_disassemble(frames, grid)
-        return captured["bins"]
+        bins = real_disassemble(frames, grid)
+        # zero forcing divides the bins in place
+        captured["bins"] = tuple(b.copy() for b in bins)
+        return bins
 
     def demap_hard(symbols, spec):
         captured["symbols"] = symbols
@@ -777,16 +779,20 @@ def test_coded_sweep_points_equal_single_point_calls(receiver, channel,
 @pytest.mark.parametrize("receiver", _RECEIVERS)
 def test_receivers_get_a_copy_of_the_training_span(monkeypatch, receiver,
                                                     channel):
-    streams, arrays, trainings = [], [], []
+    # the channel works in the transmitted stream on AWGN and static
+    # multipath, so the training reference is checked against a copy of the
+    # stream taken at assemble
+    streams, sent, received, arrays, trainings = [], [], [], [], []
     real_assemble, real_pre_fft = simcli.assemble, simcli.equalize_pre_fft
     real_equalize = simcli._RECEIVERS[receiver].equalize
 
     def assemble(*args):
         streams.append(real_assemble(*args))
+        sent.append(streams[-1].copy())
         return streams[-1]
 
     def pre_fft(rx, training, *args):
-        arrays.append(rx)
+        received.append(rx)
         trainings.append(training)
         return real_pre_fft(rx, training, *args)
 
@@ -799,15 +805,21 @@ def test_receivers_get_a_copy_of_the_training_span(monkeypatch, receiver,
         simcli._RECEIVERS[receiver], equalize=equalize))
     cfg = SimConfig(channel=channel, receiver_mode=receiver, n_bits=800)
     run_point(cfg, 20.0)
-    (stream,) = streams
+    (stream,), (copy,) = streams, sent
+    # the receivers get the bins, never a view of the stream
     assert not any(np.shares_memory(a, stream) for a in arrays)
     if receiver == "pre_fft_lms":
-        (training,) = trainings
+        (rx,), (training,) = received, trainings
+        # the samples the equalizer filters are the stream itself, except
+        # on Rician fading, whose output is the trajectory buffer's
+        assert np.shares_memory(rx, stream) == (channel != "rician")
         span = cfg.training_symbols * default_grid().symbol_len
-        assert np.array_equal(training, stream.ravel()[:span])
+        assert np.array_equal(training, copy.ravel()[:span])
         assert not np.shares_memory(training, stream)
+        assert not any(np.shares_memory(training, a)
+                       for a in arrays + received)
     else:
-        assert trainings == []
+        assert trainings == received == []
 
 
 @pytest.mark.parametrize("coding", ["none", "cc_k7"])
@@ -847,12 +859,13 @@ def _warm_point_peak(cfg, snr_db):
 
 
 # tracemalloc peak, in bytes, of one warm coded QPSK pilot_fd_lms point over
-# static multipath at the defaults (44 000 bits), with every stage after the
-# channel working in the channel's output; it was 7 551 614 while every array
-# lived until run_point returned, and 4 126 180 with each stage's arrays
-# dropped when the stage ends but the noise, the FFT and the bins in arrays
-# of their own
-_CODED_POINT_PEAK = 2_871_197
+# static multipath at the defaults (44 000 bits), with the channel working in
+# the transmitted stream and zero forcing in the bins; it was 7 551 614 while
+# every array lived until run_point returned, 4 126 180 with each stage's
+# arrays dropped when the stage ends but the noise, the FFT and the bins in
+# arrays of their own, and 2 871 197 with the channel's output and the
+# quotients in arrays of their own
+_CODED_POINT_PEAK = 2_674_490
 
 
 def test_coded_point_peak_stays_at_one_stage():
@@ -861,11 +874,35 @@ def test_coded_point_peak_stays_at_one_stage():
     assert _warm_point_peak(cfg, 2.0) <= 1.1 * _CODED_POINT_PEAK
 
 
+def test_channel_and_zero_forcing_peak_below_the_noise(monkeypatch):
+    # the static channel filters the stream in place and zero forcing
+    # divides the bins in place, so neither holds a second full-size array
+    # (2.85 and 2.87 MB traced, against 2.57 MB in the noise stage)
+    peaks = {}
+
+    def traced(name):
+        real = getattr(simcli, name)
+
+        def stage(*args):
+            tracemalloc.reset_peak()
+            try:
+                return real(*args)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(simcli, name, stage)
+    for name in ("_through_channel", "add_awgn", "equalize_one_tap"):
+        traced(name)
+    _warm_point_peak(SimConfig(channel="static", coding="cc_k7",
+                               receiver_mode="pilot_fd_lms"), 2.0)
+    assert 0 < peaks["_through_channel"] < peaks["add_awgn"]
+    assert 0 < peaks["equalize_one_tap"] < peaks["add_awgn"]
+
+
 # the same for warm uncoded QPSK points at the defaults, with the parent
 # layout's peaks (separate noise, FFT and pre-FFT output arrays) noted
 _POINT_PEAKS = {
     # 2 851 419 in the pre-FFT equalizer
-    ("static", "pre_fft_lms"): 1_550_933,
+    ("static", "pre_fft_lms"): 1_550_852,
     # 4 616 669 in apply_fading; now in rician_taps
     ("rician", "known_channel_zf"): 4_192_629,
 }
