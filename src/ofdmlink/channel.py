@@ -12,6 +12,7 @@ angles and phases so the autocorrelation converges to J0(2 pi f_d tau).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "ChannelRealization",
     "add_awgn",
     "static_multipath",
+    "fir_in_place",
     "rician_taps",
     "apply_fading",
 ]
@@ -37,7 +39,7 @@ UNIT_TAPS.setflags(write=False)
 SAMPLE_RATE_HZ = 4000.0
 
 _N_SINUSOIDS = 32
-_FIR_CHUNK = 8192  # outputs per convolve in static_multipath
+_FIR_CHUNK = 8192  # outputs per convolve in fir_in_place
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,9 @@ class ChannelConfig:
             raise ConfigurationError(f"unknown channel {self.kind!r}")
         for name in ("k_factor", "doppler_hz"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(
+                    f"{name} must be a real number, got {value!r}")
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigurationError(
                     f"{name} must be finite and >= 0, got {value}")
@@ -85,40 +90,49 @@ def add_awgn(signal, esn0_db, signal_power, rng):
     return rng.add_complex_normal(signal, np.sqrt(sigma2))
 
 
-def static_multipath(signal, taps):
-    """FIR channel: linear convolution truncated to the input length, in
-    place.
-
-    The outputs overwrite signal, which is returned; a signal that is not a
-    complex128 array is copied to one first, and the copy returned.  The
-    filter runs on chunks of _FIR_CHUNK outputs, last chunk first, each
-    convolved together with the len(taps) - 1 samples before it, which no
-    later chunk has overwritten yet.  So every output is the dot product
-    that one full-length np.convolve(signal, taps) makes, on the same
-    memory, and no input is shorter than the taps (convolve would swap the
-    two, and sum in another order).
+def fir_in_place(x, kernel, delay=0, start=0, before=None):
+    """x[m] for m >= start becomes np.convolve(x, kernel)[m + delay] of x as
+    given; before holds the len(kernel) samples before start as given (by
+    default x's own).  Chunks of _FIR_CHUNK outputs run first to last, each
+    convolved with the len(kernel) given samples before it, so every output
+    is the dot product that one full-length convolve makes, and no input is
+    shorter than the kernel (convolve would swap the two, and sum in another
+    order).  Returns x.
     """
+    if before is None:
+        before = x[max(start - len(kernel), 0) : start]
+    chunk = max(_FIR_CHUNK, len(kernel))
+    for a in range(start, len(x), chunk):
+        b = min(a + chunk, len(x))
+        segment = np.concatenate([before, x[a : b + delay]])
+        lead = len(before)
+        before = segment[lead + b - a - len(kernel) : lead + b - a]
+        x[a:b] = np.convolve(segment, kernel)[lead + delay :][: b - a]
+    return x
+
+
+def static_multipath(signal, taps):
+    """FIR channel: linear convolution truncated to the input length,
+    written over signal (``fir_in_place``) and returned; a signal that is
+    not a complex128 array is copied to one first, and the copy returned."""
     signal = np.asarray(signal, dtype=np.complex128)
-    taps = np.asarray(taps, dtype=np.complex128)
-    chunk = max(_FIR_CHUNK, len(taps))
-    for a in reversed(range(0, len(signal), chunk)):
-        b = min(a + chunk, len(signal))
-        start = max(a - len(taps) + 1, 0)
-        signal[a:b] = np.convolve(signal[start:b], taps)[a - start : b - start]
-    return signal
+    return fir_in_place(signal, np.asarray(taps, dtype=np.complex128))
 
 
 def _jakes_process(n_taps, n_samples, doppler_norm, rng):
     """n_taps unit-power complex processes with Jakes Doppler spectrum,
     shape (n_taps, n_samples): a view of one (n_taps, Q * B) buffer.
 
-    The sum-of-sinusoids model of Zheng & Xiao (IEEE Trans. Commun. 51(6),
-    2003), g(t) = sum_k exp(j(w_k t + phi_k)) / sqrt(32) with
-    w_k = 2 pi f_d cos(alpha_k), has a phase linear in t.  With t = B q + r,
-    each term is A[q, k] C[k, r], where A = exp(j(w_k B q + phi_k)) has
-    shape (Q, 32) and C = exp(j w_k r) has shape (32, B); so g is the
-    product A @ C read row by row.  Each factor is again a phasor product:
-    with q = a q1 + q0, A[q, k] = exp(j(w_k B a q1 + phi_k)) exp(j w_k B q0),
+    The Monte-Carlo sum of sinusoids (Hoeher, IEEE Trans. Veh. Technol.
+    41(4), 1992) draws every arrival angle alpha_k iid uniform, unlike the
+    stratified angles of Zheng & Xiao; the ensemble autocorrelation is
+    J0(2 pi f_d tau) either way.  Its g(t) = sum_k exp(j(w_k t + phi_k)) /
+    sqrt(32) with w_k = 2 pi f_d cos(alpha_k) has a phase linear in t.
+    With t = B q + r, each term is A[q, k] C[k, r], where
+    A = exp(j(w_k B q + phi_k)) has shape (Q, 32) and C = exp(j w_k r) has
+    shape (32, B); so g is the product A @ C read row by row.  Each factor
+    is again a phasor product: with q = a q1 + q0,
+    A[q, k] = exp(j(w_k B a q1 + phi_k)) exp(j w_k B q0),
     and with B = b * b and r = b r1 + r0, C[k, r] = exp(j w_k b r1)
     exp(j w_k r0).  The four tables have about n^(1/4) rows each, so a tap
     takes about 128 n^(1/4) exponentials instead of 32 n.  The 1/sqrt(32)

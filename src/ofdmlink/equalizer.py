@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .channel import fir_in_place
 from .errors import ConfigurationError, DivergenceError
 
 __all__ = ["LmsTrace", "equalize_pre_fft", "PilotLmsEstimator"]
 
 _DIVERGENCE_LIMIT = 1e6
 _CHUNK = 320  # updates between two divergence scans: one OFDM symbol
-_FROZEN_CHUNK = 8192  # outputs per convolve past the training span
 
 
 @dataclass
@@ -53,11 +53,7 @@ def equalize_pre_fft(rx, training, n_taps, step_size):
     such update, counted from 1, and the updates after it are discarded.
 
     Past the training span, y = w^H x is an FIR filter with the frozen taps
-    conj(w): out[m] = convolve(rx, conj(w))[m + delay].  It runs on chunks
-    of _FROZEN_CHUNK outputs, each convolved together with the n_taps
-    samples before it, so every output is the dot product that one
-    full-length convolve makes, and no input is shorter than the kernel
-    (convolve would swap the two, and sum in another order).
+    conj(w): out[m] = convolve(rx, conj(w))[m + delay] (``fir_in_place``).
 
     Returns (equalized, trace); equalized[m] estimates the transmitted
     sample m.  The outputs overwrite rx, also when DivergenceError is
@@ -76,9 +72,8 @@ def equalize_pre_fft(rx, training, n_taps, step_size):
         raise ConfigurationError(
             f"step size must be > 0 and finite, got {step_size}")
 
-    n = len(rx)
     delay = n_taps // 2
-    n_adapt = min(n, len(training))
+    n_adapt = min(len(rx), len(training))
     # the training regressors read rx up to delay samples past the span
     head = rx[: n_adapt + delay]
     padded = np.pad(head, (n_taps - 1, n_adapt + delay - len(head)))
@@ -109,14 +104,7 @@ def equalize_pre_fft(rx, training, n_taps, step_size):
                                       step_size)
             history[0] = span[-1]
     weights = history[0].copy()
-    kernel = np.conj(weights)
-    # chunk [a, b) reads rx[a - n_taps : b + delay]; the samples before a
-    # come as received from the chunk before, since rx holds outputs there
-    for a in range(n_adapt, n, _FROZEN_CHUNK):
-        b = min(a + _FROZEN_CHUNK, n)
-        segment = np.concatenate([before, rx[a : b + delay]])
-        before = segment[b - a : b - a + n_taps]
-        rx[a:b] = np.convolve(segment, kernel)[n_taps + delay :][: b - a]
+    fir_in_place(rx, np.conj(weights), delay, n_adapt, before)
     return rx, LmsTrace(sq_errors, weights)
 
 

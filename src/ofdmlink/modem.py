@@ -165,9 +165,9 @@ def demap_hard(symbols, spec):
     label, unsure = slicer(flat, spec)
     if unsure.any():
         label[unsure] = _nearest_exhaustive(flat[unsure], spec.points)
-    weights = 1 << np.arange(spec.bits_per_symbol - 1, -1, -1)
-    bits = (label[:, None] & weights) != 0  # MSB first
-    return bits.astype(np.uint8).ravel()
+    k = spec.bits_per_symbol  # each label, MSB first, in the top k bits
+    top = label.astype(np.uint8) << (8 - k)
+    return np.unpackbits(top[:, None], axis=1, count=k).ravel()
 
 
 def _slice_grid(flat, spec):

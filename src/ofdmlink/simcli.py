@@ -122,6 +122,10 @@ class SimConfig:
                     f"{name} must be in {lo}..{hi}, got {value}")
         if _RECEIVERS[self.receiver_mode].time_domain:
             _check_training_span(self)
+        if (isinstance(self.lms_mu, bool)
+                or not isinstance(self.lms_mu, numbers.Real)):
+            raise ConfigurationError(
+                f"lms_mu must be a real number, got {self.lms_mu!r}")
         if not (math.isfinite(self.lms_mu) and self.lms_mu >= 0):
             raise ConfigurationError(
                 f"lms_mu must be finite and >= 0, got {self.lms_mu}")

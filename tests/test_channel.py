@@ -6,8 +6,8 @@ from scipy.special import j0
 
 from ofdmlink.channel import (_FIR_CHUNK, DEFAULT_TAPS, UNIT_TAPS,
                               ChannelConfig, ChannelRealization, add_awgn,
-                              apply_fading, rician_taps, static_multipath,
-                              _jakes_process)
+                              apply_fading, fir_in_place, rician_taps,
+                              static_multipath, _jakes_process)
 from ofdmlink.errors import ConfigurationError, FramingError
 from ofdmlink.numerics import _NOISE_BLOCK, RngStream
 
@@ -76,7 +76,7 @@ def test_static_multipath_matches_oracle():
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, _FIR_CHUNK - 1, _FIR_CHUNK,
                                _FIR_CHUNK + 1, 2 * _FIR_CHUNK + 3, 44_800])
 def test_static_multipath_in_place_is_bit_equal_to_one_convolve(n, n_taps):
-    # chunks filtered last first, each with the n_taps - 1 samples before
+    # chunks filtered first to last, each with the n_taps samples before
     # it; n < n_taps is one convolve that swaps its inputs, as the full one
     rng = np.random.default_rng(n + n_taps)
     sig = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -86,6 +86,24 @@ def test_static_multipath_in_place_is_bit_equal_to_one_convolve(n, n_taps):
     got = static_multipath(sig, taps)
     assert got is sig
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, n_kernel, delay, start", [
+    (40, 5, 2, 0), (40, 5, 4, 3), (40, 5, 0, 39),
+    (_FIR_CHUNK + 50, 7, 3, 0), (2 * _FIR_CHUNK + 9, 7, 3, 20),
+])
+def test_fir_in_place_reads_the_samples_before_start_as_given(
+        n, n_kernel, delay, start):
+    # with no before given, the samples ahead of start are x's own; the
+    # outputs from start on are one full-length convolve's, to the bit
+    rng = np.random.default_rng(n + start)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    kernel = rng.normal(size=n_kernel) + 1j * rng.normal(size=n_kernel)
+    given = x.copy()
+    expected = np.convolve(given, kernel)[start + delay : n + delay]
+    assert fir_in_place(x, kernel, delay, start) is x
+    assert np.array_equal(x[:start], given[:start])
+    assert np.array_equal(x[start:].view(np.uint64), expected.view(np.uint64))
 
 
 def test_static_multipath_copies_a_signal_that_is_not_complex128():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from numpy.fft import fft
 
-from ofdmlink.channel import DEFAULT_TAPS, static_multipath
-from ofdmlink import equalizer
+from ofdmlink.channel import _FIR_CHUNK, DEFAULT_TAPS, static_multipath
 from ofdmlink.equalizer import PilotLmsEstimator, equalize_pre_fft
 from ofdmlink.errors import ConfigurationError, DivergenceError
 from ofdmlink.modem import constellation, map_bits
@@ -353,18 +352,15 @@ def test_pre_fft_frozen_span_matches_per_sample_loop(n_rx, n_train, n_taps):
     assert np.max(np.abs(out - ref_out)) < 1e-12
 
 
-_FROZEN = equalizer._FROZEN_CHUNK
-
-
 @pytest.mark.parametrize("n_rx, n_train, n_taps", [
-    (640 + _FROZEN - 1, 640, 11),
-    (640 + _FROZEN, 640, 11),
-    (640 + _FROZEN + 1, 640, 11),
-    (640 + 2 * _FROZEN + 5, 640, 12),
+    (640 + _FIR_CHUNK - 1, 640, 11),
+    (640 + _FIR_CHUNK, 640, 11),
+    (640 + _FIR_CHUNK + 1, 640, 11),
+    (640 + 2 * _FIR_CHUNK + 5, 640, 12),
     (645, 640, 11),  # a frozen span shorter than the kernel
     (17_027, 640, 11),
     (641, 640, 320),
-    (640 + _FROZEN + 3, 640, 320),  # a last chunk shorter than the kernel
+    (640 + _FIR_CHUNK + 3, 640, 320),  # a last chunk shorter than the kernel
     (1000, 400, 1),
 ])
 def test_pre_fft_chunked_frozen_span_bit_for_bit_with_one_convolve(

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 import zlib
 from fractions import Fraction
 
@@ -319,3 +320,23 @@ def test_modem_bytes_pinned(name):
     demapped = demap_hard(pinned_draw(spec), spec).tobytes()
     got = tuple(hashlib.sha256(b).hexdigest() for b in (mapped, demapped))
     assert got == _MODEM_SHA256[name]
+
+
+def test_demap_hard_256qam_peak_memory_is_bounded():
+    # the bits come from one unpackbits of the labels, with no (n, 8) int
+    # label-and-weight array beside them: a warm call peaks below 4.5 times
+    # the input's bytes (the slicer's axis arrays take the rest)
+    spec = constellation("256qam")
+    rng = np.random.default_rng(7)
+    n = 20_000
+    symbols = map_bits(rng.integers(0, 2, 8 * n), spec)
+    symbols += 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    expected = demap_hard(symbols, spec)
+    tracemalloc.start()
+    try:
+        bits = demap_hard(symbols, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(bits, expected)
+    assert peak < 4.5 * symbols.nbytes

@@ -121,6 +121,20 @@ def test_config_rejects_bad_lms_settings(field, value):
 
 
 @pytest.mark.parametrize("field, value", [
+    ("lms_mu", "x"), ("lms_mu", True), ("lms_mu", None), ("lms_mu", 1e-3j),
+    ("k_factor", "3"), ("k_factor", True), ("doppler_hz", None),
+    ("doppler_hz", False),
+])
+def test_config_rejects_float_fields_that_are_not_real_numbers(field, value):
+    with pytest.raises(ConfigurationError) as exc:
+        SimConfig(**{field: value})
+    assert str(exc.value) == f"{field} must be a real number, got {value!r}"
+    if field != "lms_mu":
+        with pytest.raises(ConfigurationError, match=field):
+            ChannelConfig("rician", **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
     ("n_bits", 0), ("n_bits", 4_000_001), ("n_bits", 10**15),
     ("lms_taps", 321), ("training_symbols", 101), ("training_symbols", 10**15),
     ("seed", -1), ("seed", 2**64), ("seed", 2**64 + 1),
