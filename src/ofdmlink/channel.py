@@ -12,12 +12,11 @@ angles and phases so the autocorrelation converges to J0(2 pi f_d tau).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FramingError
+from .errors import ConfigurationError, FramingError, check_real
 
 __all__ = [
     "DEFAULT_TAPS",
@@ -53,14 +52,8 @@ class ChannelConfig:
     def __post_init__(self):
         if self.kind not in ("awgn", "static", "rician"):
             raise ConfigurationError(f"unknown channel {self.kind!r}")
-        for name in ("k_factor", "doppler_hz"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigurationError(
-                    f"{name} must be a real number, got {value!r}")
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(
-                    f"{name} must be finite and >= 0, got {value}")
+        check_real("k_factor", self.k_factor, low=0)
+        check_real("doppler_hz", self.doppler_hz, low=0)
         # only fading reads the Doppler
         nyquist = SAMPLE_RATE_HZ / 2
         if self.kind == "rician" and self.doppler_hz >= nyquist:

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import fir_in_place
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, check_real
 
 __all__ = ["LmsTrace", "equalize_pre_fft", "PilotLmsEstimator"]
 
@@ -68,9 +68,7 @@ def equalize_pre_fft(rx, training, n_taps, step_size):
         raise ConfigurationError(f"n_taps must be >= 1, got {n_taps}")
     if len(training) < n_taps:
         raise ConfigurationError("training shorter than the filter")
-    if not (np.isfinite(step_size) and step_size > 0):
-        raise ConfigurationError(
-            f"step size must be > 0 and finite, got {step_size}")
+    check_real("step size", step_size, low=0, strict=True)
 
     delay = n_taps // 2
     n_adapt = min(len(rx), len(training))
@@ -120,9 +118,7 @@ class PilotLmsEstimator:
     """
 
     def __init__(self, grid, step_size):
-        if not (np.isfinite(step_size) and step_size > 0):
-            raise ConfigurationError(
-                f"step size must be > 0 and finite, got {step_size}")
+        check_real("step size", step_size, low=0, strict=True)
         self.grid = grid
         self.step_size = step_size
 

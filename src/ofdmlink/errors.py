@@ -1,4 +1,8 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the two checks that
+every stage runs on a number it is given."""
+
+import math
+import numbers
 
 
 class SimError(ValueError):
@@ -35,3 +39,28 @@ class DivergenceError(SimError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+
+def check_integer(name, value, lo, hi):
+    """value as an int; ConfigurationError unless it is an integer, not a
+    bool, in lo..hi."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if not lo <= int(value) <= hi:
+        raise ConfigurationError(f"{name} must be in {lo}..{hi}, got {value}")
+    return int(value)
+
+
+def check_real(name, value, low=None, strict=False):
+    """ConfigurationError unless value is a finite real number, not a bool,
+    and, if low is given, >= low (> low when strict)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a double
+        finite = False
+    in_range = low is None or (value > low if strict else value >= low)
+    if not (finite and in_range):
+        bound = "" if low is None else f" and {'>' if strict else '>='} {low}"
+        raise ConfigurationError(f"{name} must be finite{bound}, got {value}")

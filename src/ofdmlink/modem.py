@@ -187,15 +187,28 @@ def _slice_grid(flat, spec):
 
 
 def _slice_sectors(flat, spec):
-    """Label of the nearest of the M ring sectors, and symbols to re-check."""
-    radius = np.abs(flat)
-    unsure = ~((radius > _PSK_RADII[0]) & (radius < _PSK_RADII[1]))
-    offset = np.angle(spec.points[0])
-    sector = (np.angle(flat) - offset) * (spec.order / (2 * np.pi))
-    sector = np.where(unsure, 0.0, sector)
+    """Label of the nearest of the M ring sectors, and symbols to re-check.
+
+    Two float buffers carry every step in place: the radius, then the angle,
+    the sector and its distance to the nearest sector edge in the first,
+    the nearest sector in the second.  Labels are uint8 (M <= 256).
+    """
+    sector = np.abs(flat)
+    unsure = ~((sector > _PSK_RADII[0]) & (sector < _PSK_RADII[1]))
+    np.arctan2(flat.imag, flat.real, out=sector)  # np.angle(flat), in place
+    sector -= np.angle(spec.points[0])
+    sector *= spec.order / (2 * np.pi)
+    np.copyto(sector, 0.0, where=unsure)
     nearest = np.rint(sector)
-    unsure |= np.abs(np.abs(sector - nearest) - 0.5) < _EDGE_GUARD
-    return _gray(nearest.astype(np.intp) % spec.order), unsure
+    sector -= nearest
+    np.abs(sector, out=sector)
+    sector -= 0.5
+    np.abs(sector, out=sector)
+    unsure |= sector < _EDGE_GUARD
+    # nearest mod 256, then mod M, M a power of 2: |nearest| <= M fits int16
+    label = nearest.astype(np.int16).astype(np.uint8)
+    label &= spec.order - 1
+    return _gray(label), unsure
 
 
 def _nearest_exhaustive(symbols, points):

@@ -7,26 +7,16 @@ stream, which keeps the uniform consumption rate fixed.
 """
 
 import math
-import numbers
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import check_integer
 
 __all__ = ["RngStream"]
 
 # complex noise samples made at a time: a 256-ary point is one block, and
 # the block buffer stays small next to a QPSK point's sample stream
 _NOISE_BLOCK = 1 << 14
-
-
-def _uint64(name, value):
-    """value as an int; ConfigurationError unless an integer in 0..2**64 - 1."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or not 0 <= int(value) <= 2**64 - 1):
-        raise ConfigurationError(
-            f"{name} must be an integer in 0..{2**64 - 1}, got {value!r}")
-    return int(value)
 
 
 class RngStream:
@@ -40,8 +30,8 @@ class RngStream:
     def __init__(self, master_seed, stream_id=0):
         # the seed is the low 64 bits of the Philox key and the stream id the
         # high 64: a wider seed would alias, a wider id overflows the key
-        self.master_seed = _uint64("master_seed", master_seed)
-        self.stream_id = _uint64("stream_id", stream_id)
+        self.master_seed = check_integer("master_seed", master_seed, 0, 2**64 - 1)
+        self.stream_id = check_integer("stream_id", stream_id, 0, 2**64 - 1)
         key = self.master_seed | (self.stream_id << 64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 

@@ -15,7 +15,6 @@ records both axes.
 """
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -25,7 +24,8 @@ from numpy.fft import fft
 from .channel import (UNIT_TAPS, ChannelConfig, add_awgn, apply_fading,
                       rician_taps, static_multipath)
 from .equalizer import PilotLmsEstimator, equalize_pre_fft
-from .errors import ConfigurationError, DivergenceError
+from .errors import (ConfigurationError, DivergenceError, check_integer,
+                     check_real)
 from .fec import conv_encode, viterbi_decode
 from .modem import constellation, demap_hard, map_bits
 from .numerics import RngStream
@@ -109,26 +109,14 @@ class SimConfig:
         # a pre-FFT equalizer longer than one OFDM symbol has no use, and
         # RngStream takes a seed of 64 bits
         symbol_len = default_grid().symbol_len
-        for name, lo, hi in (("n_bits", 1, _MAX_N_BITS),
-                             ("seed", 0, 2**64 - 1),
-                             ("lms_taps", 1, symbol_len),
-                             ("training_symbols", 0, _MAX_TRAINING_SYMBOLS)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}")
-            if not lo <= value <= hi:
-                raise ConfigurationError(
-                    f"{name} must be in {lo}..{hi}, got {value}")
+        check_integer("n_bits", self.n_bits, 1, _MAX_N_BITS)
+        check_integer("seed", self.seed, 0, 2**64 - 1)
+        check_integer("lms_taps", self.lms_taps, 1, symbol_len)
+        check_integer("training_symbols", self.training_symbols, 0,
+                      _MAX_TRAINING_SYMBOLS)
         if _RECEIVERS[self.receiver_mode].time_domain:
             _check_training_span(self)
-        if (isinstance(self.lms_mu, bool)
-                or not isinstance(self.lms_mu, numbers.Real)):
-            raise ConfigurationError(
-                f"lms_mu must be a real number, got {self.lms_mu!r}")
-        if not (math.isfinite(self.lms_mu) and self.lms_mu >= 0):
-            raise ConfigurationError(
-                f"lms_mu must be finite and >= 0, got {self.lms_mu}")
+        check_real("lms_mu", self.lms_mu, low=0)
         if self.source not in ("random", "sine"):
             raise ConfigurationError(f"unknown source {self.source!r}")
         if self.source == "sine" and self.n_bits % _PCM_BITS:
@@ -141,7 +129,7 @@ class SimConfig:
         if not self.snr_grid_db:
             raise ConfigurationError("empty SNR grid")
         for s in self.snr_grid_db:
-            _check_snr("SNR grid value", s)
+            check_real("SNR grid value", s)
 
     @property
     def code_rate(self):
@@ -152,14 +140,6 @@ class SimConfig:
         """lms_mu, or the receiver's default if unset (None for the genie)."""
         default = _RECEIVERS[self.receiver_mode].default_mu
         return self.lms_mu if self.lms_mu > 0 else default
-
-
-def _check_snr(what, value):
-    """Reject an SNR that is not a finite real number; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{what} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{what} must be finite, got {value!r}")
 
 
 def _check_training_span(cfg):
@@ -232,7 +212,7 @@ def parse_config(text):
     bounds = {key: parsed(key, float) if key in raw else default
               for key, default in _SNR_DEFAULTS.items()}
     for key, value in bounds.items():
-        _check_snr(key, value)
+        check_real(key, value)
     start, stop, step = bounds.values()
     if step <= 0:
         raise ConfigurationError("snr_step_db must be > 0")
@@ -396,7 +376,7 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
     equalizer and the FFT all run in place in it, and zero forcing divides
     the bins in place.
     """
-    _check_snr("snr_db", snr_db)
+    check_real("snr_db", snr_db)
     modulation = modulation or cfg.modulations[0]
     spec = constellation(modulation)
     grid = default_grid()

@@ -453,20 +453,37 @@ def test_pre_fft_memory_stays_per_symbol():
     assert peak < 10e6
 
 
-_BAD_STEPS = [0.0, -1e-3, np.nan, np.inf, -np.inf]
+# each step size both equalizers reject, with its one-line message: a bool
+# is not a real number, so True is not taken as a step size of 1
+_OUT_OF_RANGE = "step size must be finite and > 0, got "
+_NOT_REAL = "step size must be a real number, got "
+_BAD_STEPS = [
+    pytest.param(0.0, _OUT_OF_RANGE + "0.0", id="0.0"),
+    pytest.param(-1e-3, _OUT_OF_RANGE + "-0.001", id="-0.001"),
+    pytest.param(np.nan, _OUT_OF_RANGE + "nan", id="nan"),
+    pytest.param(np.inf, _OUT_OF_RANGE + "inf", id="inf"),
+    pytest.param(-np.inf, _OUT_OF_RANGE + "-inf", id="-inf"),
+    pytest.param("x", _NOT_REAL + "'x'", id="x"),
+    pytest.param(None, _NOT_REAL + "None", id="None"),
+    pytest.param(True, _NOT_REAL + "True", id="True"),
+    pytest.param(np.bool_(True), _NOT_REAL + "np.True_", id="np.True_"),
+    pytest.param(1j, _NOT_REAL + "1j", id="1j"),
+]
 
 
-@pytest.mark.parametrize("step_size", _BAD_STEPS)
-def test_pre_fft_rejects_non_positive_step(step_size):
+@pytest.mark.parametrize("step_size, message", _BAD_STEPS)
+def test_pre_fft_rejects_non_positive_step(step_size, message):
     tx = np.ones(10, complex)
-    with pytest.raises(ConfigurationError, match="step size must be > 0"):
+    with pytest.raises(ConfigurationError) as exc:
         equalize_pre_fft(tx, tx, 3, step_size)
+    assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("step_size", _BAD_STEPS)
-def test_pilot_tracker_rejects_non_positive_step(step_size):
-    with pytest.raises(ConfigurationError, match="step size must be > 0"):
+@pytest.mark.parametrize("step_size, message", _BAD_STEPS)
+def test_pilot_tracker_rejects_non_positive_step(step_size, message):
+    with pytest.raises(ConfigurationError) as exc:
         PilotLmsEstimator(GRID, step_size)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("n_taps", [1, 11])

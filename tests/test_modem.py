@@ -340,3 +340,22 @@ def test_demap_hard_256qam_peak_memory_is_bounded():
         tracemalloc.stop()
     assert np.array_equal(bits, expected)
     assert peak < 4.5 * symbols.nbytes
+
+
+def test_demap_hard_qpsk_peak_memory_is_bounded():
+    # the sector slicer works in place in two float buffers and keeps uint8
+    # labels: a warm QPSK call peaks below 1.5 times the input's bytes
+    spec = constellation("qpsk")
+    rng = np.random.default_rng(7)
+    n = 20_000
+    symbols = map_bits(rng.integers(0, 2, 2 * n), spec)
+    symbols += 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    expected = demap_hard(symbols, spec)
+    tracemalloc.start()
+    try:
+        bits = demap_hard(symbols, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(bits, expected)
+    assert peak < 1.5 * symbols.nbytes
