@@ -9,21 +9,24 @@ Both use the standard complex LMS convention
 which is equivalent to a steepest-descent step with the rank-one
 instantaneous covariance estimates R(n) = x x^H and r(n) = d* x.
 
-* ``equalize_pre_fft`` -- a time-domain transversal equalizer running ahead
-  of the receiver FFT, trained on known transmitted samples, then frozen.
+* ``equalize_pre_fft`` -- a time-domain transversal equalizer ahead of the
+  FFT, trained as a ``train_pre_fft`` row (one per step size), then frozen.
 * ``PilotLmsEstimator`` -- a bank of one-tap LMS trackers on the comb-pilot
   bins, linearly interpolated across the data bins.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import fir_in_place
-from .errors import ConfigurationError, DivergenceError, check_real
+from .errors import (ConfigurationError, DivergenceError, check_integer,
+                     check_real)
 
-__all__ = ["LmsTrace", "equalize_pre_fft", "PilotLmsEstimator"]
+__all__ = ["LmsTrace", "train_pre_fft", "equalize_pre_fft",
+           "PilotLmsEstimator"]
 
 _DIVERGENCE_LIMIT = 1e6
 _CHUNK = 320  # updates between two divergence scans: one OFDM symbol
@@ -37,73 +40,84 @@ class LmsTrace:
     final_weights: np.ndarray
 
 
-def equalize_pre_fft(rx, training, n_taps, step_size):
-    """Adaptive transversal equalizer ahead of the FFT, in place.
+def train_pre_fft(rx, training, n_taps, step_sizes):
+    """One pre-FFT LMS equalizer per step size, each trained from zero
+    weights, bit for bit as a per-sample loop, on the same n = min(len(rx),
+    len(training)) updates: regressor rx[m + delay - k] for k < n_taps (0
+    outside rx), delay = n_taps // 2, desired sample training[m].
 
-    The regressor at step n is [rx[n], rx[n-1], ..., rx[n-n_taps+1]] and the
-    desired sample is training[n - delay] with delay = n_taps // 2.  After
-    the training span the weights are frozen.
-
-    Each training update repeats the arithmetic of ``w + mu * x * conj(e)``
-    with y = vdot(w, x) on the reversed regressor view itself, so every output
-    equals a per-sample loop's to the bit.  The regressors are read from a
-    zero-padded copy of the training span alone.  The weights after each
-    update go to a one-symbol history that is scanned once per chunk:
-    weights beyond 1e6 in magnitude raise DivergenceError naming the first
-    such update, counted from 1, and the updates after it are discarded.
-
-    Past the training span, y = w^H x is an FIR filter with the frozen taps
-    conj(w): out[m] = convolve(rx, conj(w))[m + delay] (``fir_in_place``).
-
-    Returns (equalized, trace); equalized[m] estimates the transmitted
-    sample m.  The outputs overwrite rx, also when DivergenceError is
-    raised, and equalized is rx itself; an rx that is not a complex128
-    array is copied to one first.
+    Returns (outputs, squared_errors, weights, diverged): per row, (P, n)
+    outputs and squared errors, (P, n_taps) final weights, and the first
+    update, counted from 1, after which a weight is beyond 1e6 in magnitude,
+    or 0.  A diverging row runs on in inf and nan, apart from the others.
     """
-    rx = np.asarray(rx, dtype=np.complex128)
-    training = np.asarray(training, dtype=np.complex128)
+    rx, training = (np.asarray(a, dtype=np.complex128) for a in (rx, training))
     if len(rx) == 0:
         raise ConfigurationError("rx is empty")
-    if n_taps < 1:
-        raise ConfigurationError(f"n_taps must be >= 1, got {n_taps}")
+    n_taps = check_integer("n_taps", n_taps, 1, math.inf)
     if len(training) < n_taps:
         raise ConfigurationError("training shorter than the filter")
-    check_real("step size", step_size, low=0, strict=True)
+    n_rows = check_integer("number of step sizes", len(step_sizes), 1, math.inf)
+    for mu in step_sizes:
+        check_real("step size", mu, low=0, strict=True)
 
-    delay = n_taps // 2
-    n_adapt = min(len(rx), len(training))
-    # the training regressors read rx up to delay samples past the span
-    head = rx[: n_adapt + delay]
-    padded = np.pad(head, (n_taps - 1, n_adapt + delay - len(head)))
-    regressors = sliding_window_view(padded, n_taps)[delay : delay + n_adapt, ::-1]
-    # the n_taps samples before the frozen span, as received
-    before = padded[n_adapt - 1 : n_adapt + n_taps - 1]
-    sq_errors = np.empty(n_adapt)
-    history = np.zeros((min(_CHUNK, n_adapt) + 1, n_taps), dtype=np.complex128)
-    update = np.empty(n_taps, dtype=np.complex128)
-    vdot, multiply, add = np.vdot, np.multiply, np.add
+    delay, n = n_taps // 2, min(len(rx), len(training))
+    padded = np.pad(rx[: n + delay], (n_taps - 1, max(n + delay - len(rx), 0)))
+    regressors = sliding_window_view(padded, n_taps)[delay : delay + n, ::-1]
+    # h = conj(w) after each update of a chunk of at most one symbol x 320
+    # taps; the steps conj(mu x) wait in the slots the updates overwrite
+    chunk = min(_CHUNK, n, max(1, _CHUNK * _CHUNK // (n_rows * n_taps)))
+    history = np.zeros((chunk + 1, n_rows, 1, n_taps), dtype=np.complex128)
+    mus = np.array(step_sizes, dtype=float)[:, None, None]
+    outputs = np.empty((n, n_rows, 1, 1), dtype=np.complex128)
+    errors = np.empty((chunk, n_rows, 1, 1), dtype=np.complex128)
+    update = np.empty((n_rows, 1, n_taps), dtype=np.complex128)
+    sq_errors = np.empty((n_rows, n))
+    bounded = np.empty((n, n_rows), dtype=bool)
+    dot, subtract, multiply, add = np.dot, np.subtract, np.multiply, np.add
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_adapt, _CHUNK):
-            stop = min(start + _CHUNK, n_adapt)
-            xs = regressors[start:stop]
-            span = history[: stop - start + 1]
-            for m, x, step, w, w_next, d in zip(
-                    range(start, stop), xs, step_size * xs, span[:-1],
-                    span[1:], training[start:stop]):
-                y = vdot(w, x)
-                e = d - y
-                rx[m] = y
-                sq_errors[m] = abs(e) ** 2
-                multiply(step, complex(e).conjugate(), out=update)
-                add(w, update, out=w_next)
-            bounded = np.all(np.abs(span[1:]) <= _DIVERGENCE_LIMIT, axis=1)
-            if not bounded.all():
-                raise DivergenceError(start + int(np.argmin(bounded)) + 1,
-                                      step_size)
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            xs, span = regressors[start:stop], history[: stop - start + 1]
+            np.conjugate(np.multiply(mus, xs[:, None, None], out=span[1:]),
+                         out=span[1:])
+            # np.dot of the (P, 1, n_taps) rows sums each as vdot does, at any
+            # strides (a BLAS gemv would not); a numpy scalar d costs a
+            # conversion; multiply in place rounds otherwise at one element
+            for x, d, y, e, h, h_next in zip(
+                    xs[:, :, None], training[start:stop].tolist(),
+                    outputs[start:stop], errors, span[:-1], span[1:]):
+                dot(h, x, out=y)
+                subtract(d, y, out=e)
+                multiply(h_next, e, out=update)
+                add(h, update, out=h_next)
+            # the bits of the scalar abs(e) ** 2: array abs and ** 2 differ
+            sq_errors[:, start:stop] = np.float_power(np.hypot(
+                errors.real, errors.imag), 2.0)[: stop - start, :, 0, 0].T
+            bounded[start:stop] = np.all(
+                np.abs(span[1:]) <= _DIVERGENCE_LIMIT, axis=(2, 3))
             history[0] = span[-1]
-    weights = history[0].copy()
-    fir_in_place(rx, np.conj(weights), delay, n_adapt, before)
-    return rx, LmsTrace(sq_errors, weights)
+    diverged = np.where(bounded.all(axis=0), 0, np.argmin(bounded, axis=0) + 1)
+    return outputs[:, :, 0, 0].T, sq_errors, np.conj(history[0, :, 0]), diverged
+
+
+def equalize_pre_fft(rx, training, n_taps, step_size):
+    """Adaptive transversal equalizer ahead of the FFT, in place: one
+    ``train_pre_fft`` row over the training span, then past it the frozen
+    weights as an FIR filter, out[m] = convolve(rx, conj(w))[m + n_taps // 2]
+    (``fir_in_place``).  Returns (equalized, trace): equalized[m] estimates
+    the transmitted sample m and is rx itself (an rx that is not complex128
+    is copied to one first), left as it was on DivergenceError.
+    """
+    rx = np.asarray(rx, dtype=np.complex128)
+    outputs, sq_errors, weights, diverged = train_pre_fft(
+        rx, training, n_taps, (step_size,))
+    if diverged[0]:
+        raise DivergenceError(int(diverged[0]), step_size)
+    # the frozen span reads the samples before it as received
+    fir_in_place(rx, np.conj(weights[0]), n_taps // 2, outputs.shape[1])
+    rx[: outputs.shape[1]] = outputs[0]
+    return rx, LmsTrace(sq_errors[0], weights[0])
 
 
 class PilotLmsEstimator:

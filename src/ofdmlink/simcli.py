@@ -23,7 +23,8 @@ from numpy.fft import fft
 
 from .channel import (UNIT_TAPS, ChannelConfig, add_awgn, apply_fading,
                       rician_taps, static_multipath)
-from .equalizer import PilotLmsEstimator, equalize_pre_fft
+from .equalizer import (LmsTrace, PilotLmsEstimator, equalize_pre_fft,
+                        train_pre_fft)
 from .errors import (ConfigurationError, DivergenceError, check_integer,
                      check_real)
 from .fec import conv_encode, viterbi_decode
@@ -435,16 +436,15 @@ def run_sweep(cfg, csv_path=None):
 
 
 def run_lms_trace(cfg):
-    """Run the pre-FFT LMS over training frames.
+    """The pre-FFT LMS over training frames: returns ``(trace, mu,
+    initial_mse)``, the LMS trace, the chosen step size, and the error power
+    of the unadapted (zero-weight) equalizer.
 
-    Returns ``(trace, mu, initial_mse)``: the LMS trace, the chosen step
-    size, and the error power of the unadapted (zero-weight) equalizer.
-
-    When lms_mu is set it is the one candidate step size; when unset, each
-    of _MU_CANDIDATES is.  Each candidate trains once, and the trace with the
-    lowest MSE over the last MSE_WINDOW steps is kept (the first one on a
-    tie; a non-finite MSE ranks last).  A diverging candidate is skipped; if
-    every one diverges, the error names the first one's update and step size.
+    The candidates are lms_mu when set, else _MU_CANDIDATES, trained as the
+    rows of one train_pre_fft call.  The row with the lowest MSE over the
+    last MSE_WINDOW steps is kept (the first on a tie; a non-finite MSE ranks
+    last), and a diverging one is skipped; if every row diverges, the error
+    names the first one's update and step size.
     """
     _check_training_span(cfg)
     spec = constellation(cfg.modulations[0])
@@ -460,24 +460,15 @@ def run_lms_trace(cfg):
     # reference level the converged MSE is compared against
     initial_mse = float(np.mean(np.abs(training) ** 2))
 
-    best = first_divergence = None
-    for mu in (cfg.lms_mu,) if cfg.lms_mu > 0 else _MU_CANDIDATES:
-        try:
-            # the equalizer works in place: each candidate gets its own copy
-            _, trace = equalize_pre_fft(rx.copy(), training, cfg.lms_taps, mu)
-        except DivergenceError as exc:
-            first_divergence = first_divergence or exc
-            continue
-        mse = float(trace.squared_errors[-MSE_WINDOW:].mean())
-        mse = mse if math.isfinite(mse) else math.inf
-        if best is None or mse < best[0]:
-            best = mse, mu, trace
-    if best is None:
+    mus = (cfg.lms_mu,) if cfg.lms_mu > 0 else _MU_CANDIDATES
+    _, sq, weights, diverged = train_pre_fft(rx, training, cfg.lms_taps, mus)
+    if diverged.all():
         detail = "" if cfg.lms_mu > 0 else "every candidate step size diverged"
-        raise DivergenceError(first_divergence.step,
-                              first_divergence.step_size, detail=detail)
-    _, mu, trace = best
-    return trace, mu, initial_mse
+        raise DivergenceError(int(diverged[0]), mus[0], detail=detail)
+    rows = np.flatnonzero(diverged == 0)
+    mse = sq[rows, -MSE_WINDOW:].mean(axis=1)
+    best = rows[np.argmin(np.fmin(mse, np.inf))]  # a nan MSE ranks last
+    return LmsTrace(sq[best], weights[best]), mus[best], initial_mse
 
 
 def _fmt(x):

@@ -5,7 +5,8 @@ import pytest
 from numpy.fft import fft
 
 from ofdmlink.channel import _FIR_CHUNK, DEFAULT_TAPS, static_multipath
-from ofdmlink.equalizer import PilotLmsEstimator, equalize_pre_fft
+from ofdmlink.equalizer import (PilotLmsEstimator, equalize_pre_fft,
+                                train_pre_fft)
 from ofdmlink.errors import ConfigurationError, DivergenceError
 from ofdmlink.modem import constellation, map_bits
 from ofdmlink.ofdm import assemble, default_grid
@@ -390,11 +391,11 @@ def test_pre_fft_writes_into_rx():
 
 
 def _outcome(equalizer, rx, training, n_taps, step_size):
-    """(out, squared errors, final weights), or the DivergenceError text."""
+    """(out, squared errors, final weights), or the DivergenceError."""
     try:
         out, sq, w = equalizer(rx, training, n_taps, step_size)
     except DivergenceError as exc:
-        return str(exc)
+        return exc
     return out[: min(len(rx), len(training))], sq, w
 
 
@@ -403,21 +404,34 @@ def _kernel(rx, training, n_taps, step_size):
     return out, trace.squared_errors, trace.final_weights
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n_train", [320, 640, 1280, 1000])
 @pytest.mark.parametrize("mu", _MU_CANDIDATES)
 @pytest.mark.parametrize("n_taps", [1, 2, 11, 12, 320])
 def test_pre_fft_kernel_is_bit_equal_to_lms_step(n_taps, mu, n_train):
     # spans of 1, 2 and 4 OFDM symbols and one that is not a whole number
-    # of symbols; the large step sizes diverge with 320 taps
+    # of symbols; the large step sizes diverge with 320 taps, in the stacked
+    # call next to rows that converge
     tx, rx = _noisy_table_channel(n_train + 200, seed=n_taps)
     got = _outcome(_kernel, rx, tx[:n_train], n_taps, mu)
     expected = _outcome(_reference_pre_fft, rx, tx[:n_train], n_taps, mu)
-    if isinstance(expected, str):
-        assert got == expected
+    # the same step size as one row of all the candidates in one call
+    row = _MU_CANDIDATES.index(mu)
+    out, sq, w, diverged = train_pre_fft(rx, tx[:n_train], n_taps,
+                                         _MU_CANDIDATES)
+    if isinstance(expected, DivergenceError):
+        assert str(got) == str(expected)
+        assert diverged[row] == expected.step
     else:
-        for a, b in zip(got, expected):
-            assert np.array_equal(a, b)
+        assert diverged[row] == 0
+        for one, stacked, want in zip(got, (out[row], sq[row], w[row]),
+                                      expected):
+            assert np.array_equal(_bits(one), _bits(want))
+            assert np.array_equal(_bits(stacked), _bits(want))
 
 
 @pytest.mark.filterwarnings("error")
@@ -486,14 +500,32 @@ def test_pilot_tracker_rejects_non_positive_step(step_size, message):
     assert str(exc.value) == message
 
 
+def test_pre_fft_kernel_rejects_no_step_size():
+    tx = np.ones(10, complex)
+    with pytest.raises(ConfigurationError) as exc:
+        train_pre_fft(tx, tx, 3, ())
+    assert str(exc.value) == "number of step sizes must be in 1..inf, got 0"
+
+
 @pytest.mark.parametrize("n_taps", [1, 11])
 def test_pre_fft_rejects_empty_rx(n_taps):
     with pytest.raises(ConfigurationError, match="rx is empty"):
         equalize_pre_fft(np.empty(0), np.ones(20, complex), n_taps, 1e-2)
 
 
-@pytest.mark.parametrize("n_taps", [0, -1])
-def test_pre_fft_rejects_empty_filter(n_taps):
+# a filter length that is not an integer, or is a bool, fails in one line
+# too; one longer than the training fails with its own message
+@pytest.mark.parametrize("n_taps, message", [
+    (0, "n_taps must be in 1..inf, got 0"),
+    (-1, "n_taps must be in 1..inf, got -1"),
+    ("x", "n_taps must be an integer, got 'x'"),
+    (None, "n_taps must be an integer, got None"),
+    (2.5, "n_taps must be an integer, got 2.5"),
+    (True, "n_taps must be an integer, got True"),
+    (11, "training shorter than the filter"),
+], ids=["0", "-1", "x", "None", "2.5", "True", "11"])
+def test_pre_fft_rejects_empty_filter(n_taps, message):
     tx = np.ones(10, complex)
-    with pytest.raises(ConfigurationError, match="n_taps"):
+    with pytest.raises(ConfigurationError) as exc:
         equalize_pre_fft(tx, tx, n_taps, 1e-2)
+    assert str(exc.value) == message

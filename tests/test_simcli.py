@@ -442,6 +442,10 @@ _LMS_TRACE_SHA256 = {
     "modulation = 16qam\nchannel = static\nsnr_start_db = 15\n"
     "lms_mu = 0.002\nseed = 5\n":
         "2cca8e5a50d79cee787c6f67c1b71e42cc31151dbb2bce6c231fcffbbea9a883",
+    # 3 of the 7 candidates diverge, at updates 163, 33 and 14, and 1e-3
+    # wins: one kernel call with diverging and converging rows
+    "snr_start_db = 0\nlms_taps = 320\n":
+        "d931e46e6861242dd61a2fba7fdc299f9e2f98b313537e6ed38996c439e8fb6a",
 }
 
 
@@ -456,25 +460,26 @@ def test_lms_trace_csv_pinned(tmp_path, capsys, text):
     assert hashlib.sha256(data).hexdigest() == _LMS_TRACE_SHA256[text]
 
 
-def _count_pre_fft_calls(monkeypatch):
-    mus = []
-    real = simcli.equalize_pre_fft
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    real = simcli.train_pre_fft
 
-    def spy(rx, training, n_taps, step_size):
-        mus.append(step_size)
-        return real(rx, training, n_taps, step_size)
+    def spy(rx, training, n_taps, step_sizes):
+        calls.append(tuple(step_sizes))
+        return real(rx, training, n_taps, step_sizes)
 
-    monkeypatch.setattr(simcli, "equalize_pre_fft", spy)
-    return mus
+    monkeypatch.setattr(simcli, "train_pre_fft", spy)
+    return calls
 
 
 @pytest.mark.parametrize("lms_mu", [0.0, 0.002])
 def test_lms_trace_trains_each_candidate_once(monkeypatch, lms_mu):
     cfg = SimConfig(channel="static", snr_grid_db=(20.0,), seed=3,
                     lms_mu=lms_mu)
-    mus = _count_pre_fft_calls(monkeypatch)
+    calls = _count_kernel_calls(monkeypatch)
     trace, mu, _ = run_lms_trace(cfg)
-    assert mus == ([lms_mu] if lms_mu else list(simcli._MU_CANDIDATES))
+    # one kernel call, one row per candidate
+    assert calls == [(lms_mu,) if lms_mu else simcli._MU_CANDIDATES]
     fresh, fresh_mu, _ = run_lms_trace(replace(cfg, lms_mu=mu))
     assert fresh_mu == mu
     assert np.array_equal(fresh.squared_errors, trace.squared_errors)
@@ -484,10 +489,10 @@ def test_lms_trace_trains_each_candidate_once(monkeypatch, lms_mu):
 def test_lms_trace_skips_diverging_candidates(monkeypatch):
     cfg = SimConfig(channel="static", snr_grid_db=(20.0,), seed=3)
     monkeypatch.setattr(simcli, "_MU_CANDIDATES", (50.0, 1e-2, 5.0))
-    mus = _count_pre_fft_calls(monkeypatch)
+    calls = _count_kernel_calls(monkeypatch)
     _, mu, _ = run_lms_trace(cfg)
     assert mu == 1e-2
-    assert mus == [50.0, 1e-2, 5.0]
+    assert calls == [(50.0, 1e-2, 5.0)]
     monkeypatch.setattr(simcli, "_MU_CANDIDATES", (50.0, 5.0))
     with pytest.raises(DivergenceError,
                        match="every candidate step size diverged") as info:
@@ -495,6 +500,22 @@ def test_lms_trace_skips_diverging_candidates(monkeypatch):
     # the error names the first diverging candidate's own update
     assert info.value.step >= 1
     assert info.value.step_size == 50.0
+
+
+@pytest.mark.parametrize("lms_taps", [11, 320])
+def test_lms_trace_memory_stays_per_symbol(lms_taps):
+    # 100 training symbols and 7 candidates: the rows' outputs and squared
+    # errors take 5.4 MB, and the weight history of one chunk at most 1.6 MB
+    cfg = SimConfig(channel="static", snr_grid_db=(20.0,), seed=3,
+                    training_symbols=100, lms_taps=lms_taps)
+    tracemalloc.start()
+    try:
+        trace, _, _ = run_lms_trace(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.squared_errors) == 100 * 320
+    assert peak < 13e6
 
 
 def test_lms_trace_with_a_diverging_step_size_fails_in_one_line(tmp_path,
