@@ -83,17 +83,15 @@ def add_awgn(signal, esn0_db, signal_power, rng):
     return rng.add_complex_normal(signal, np.sqrt(sigma2))
 
 
-def fir_in_place(x, kernel, delay=0, start=0, before=None):
+def fir_in_place(x, kernel, delay=0, start=0):
     """x[m] for m >= start becomes np.convolve(x, kernel)[m + delay] of x as
-    given; before holds the len(kernel) samples before start as given (by
-    default x's own).  Chunks of _FIR_CHUNK outputs run first to last, each
-    convolved with the len(kernel) given samples before it, so every output
-    is the dot product that one full-length convolve makes, and no input is
+    given.  Chunks of _FIR_CHUNK outputs run first to last, each convolved
+    with the len(kernel) given samples before it, so every output is the
+    dot product that one full-length convolve makes, and no input is
     shorter than the kernel (convolve would swap the two, and sum in another
     order).  Returns x.
     """
-    if before is None:
-        before = x[max(start - len(kernel), 0) : start]
+    before = x[max(start - len(kernel), 0) : start]
     chunk = max(_FIR_CHUNK, len(kernel))
     for a in range(start, len(x), chunk):
         b = min(a + chunk, len(x))

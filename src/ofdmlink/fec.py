@@ -9,7 +9,7 @@ and the first n_steps % 4 steps into one lookup in the same table.  Path
 metrics and the table are int16: renormalisation keeps every stored value
 below 2**14 (see ``_acs``).
 
-One block decodes as up to 16 overlapping time segments run as one stack
+One block decodes as up to 32 overlapping time segments run as one stack
 through that loop, so the per-pass call overhead is spread over them.
 Each segment but the first starts from all-zero metrics 256 steps early.
 Where that warm-up ends on the renormalised end metrics of the segment
@@ -46,8 +46,14 @@ DEFAULT_CODE = ConvCodeSpec()
 
 
 def conv_encode(bits):
-    """Encode with zero tail; output 2 * (len(bits) + 6) coded bits."""
+    """Encode one block (n,) with zero tail; output 2 * (n + 6) coded bits.
+
+    Any other number of dimensions is rejected, as in ``viterbi_decode``.
+    """
     bits = np.asarray(bits)
+    if bits.ndim != 1:
+        raise FramingError(
+            f"message bits must be one block, got {bits.ndim} dimensions")
     if not ((bits == 0) | (bits == 1)).all():
         raise FramingError("message bits must be 0 or 1")
     m = DEFAULT_CODE.tail_bits
@@ -78,9 +84,11 @@ def _radix_table():
     With the code's m = 6 memory bits, an r-step path runs from the state
     s = a * 2**(m - r) + h to the state d = h * 2**r + l: the r input bits l
     are shifted in and the r high bits a of s are shifted out.  Entry
-    ``tab[p, a, h, l]`` is 16 times the Hamming distance between that path's
+    ``tab[a, p, h, l]`` is 16 times the Hamming distance between that path's
     expected output and the r received 2-bit symbols packed in p (first
-    step most significant), plus bitrev_r(a) as the tie rank.
+    step most significant), plus bitrev_r(a) as the tie rank.  The
+    predecessor axis a leads, so that one pass's minimum over it runs
+    across whole (P, 4, 16) blocks.
     """
     m, r = DEFAULT_CODE.tail_bits, _RADIX
     g1, g2 = DEFAULT_CODE.generators
@@ -99,6 +107,7 @@ def _radix_table():
         tab = tab[..., None, :, :, :] + popcount[expected ^ symbols]
     rank = np.array([_bitrev(x, r) for x in range(1 << r)], dtype=np.int16)
     tab = tab.reshape(-1, *path.shape) * 16 + rank[:, None, None]
+    tab = np.ascontiguousarray(tab.swapaxes(0, 1))
     tab.setflags(write=False)
     return tab
 
@@ -111,7 +120,7 @@ _RING = 64
 # each segment after the first starts _WARMUP passes (256 trellis steps)
 # early from all-zero metrics.  Both are set from the code's memory of six
 # bits: a path metric forgets its start within a few constraint lengths.
-_SEGMENTS = 16
+_SEGMENTS = 32
 _WARMUP = 64
 
 
@@ -126,6 +135,11 @@ def _acs(pm, tab, groups, hist, marks=None):
     ``marks`` (rings, P, n_states), mark j receives ``pm`` as renormalised
     after ring j.
 
+    A pass gathers the table entries of its P indices into one
+    predecessor-major buffer (16, P, 4, 16), adds each row's metrics of the
+    predecessors s = a * 4 + h, and takes the minimum over the leading axis
+    a, so the reduction runs over whole (P, 4, 16) blocks.
+
     After every _RING passes, and so at the end, each row subtracts its own
     minimum, a multiple of 16 as the metrics are masked with ``~15``; that
     keeps every decision and tie rank.  Each state is reachable from the
@@ -134,19 +148,23 @@ def _acs(pm, tab, groups, hist, marks=None):
     16 * 512, so stored values stay below 2**14 at any block length, and
     int16 metrics and table entries (at most 16 * 8 + 15) never overflow.
     """
-    n_a, n_h, n_l = tab.shape[1:]
+    n_a, _, n_h, n_l = tab.shape
     n_rows = len(pm)
-    buf = np.empty((n_rows, n_a, n_h, n_l), dtype=pm.dtype)
+    buf = np.empty((n_a, n_rows, n_h, n_l), dtype=pm.dtype)
     ring = np.empty((_RING, *pm.shape), dtype=pm.dtype)
     # views made once: a list lookup per pass costs less than a new view
     rows = list(ring.reshape(_RING, n_rows, n_h, n_l))
-    pm_in = pm.reshape(n_rows, n_a, n_h, 1)
+    pm_in = pm.reshape(n_rows, n_a, n_h).transpose(1, 0, 2)[..., None]
     pm_out = pm.reshape(n_rows, n_h, n_l)
+    # the method skips np.take's wrapper; mode "clip" writes straight into
+    # buf, where "raise" would gather into a temporary first
+    take = tab.take
     for j, start in enumerate(range(0, hist.shape[1], _RING)):
         chunk = groups[start: start + _RING]
         for g, row in zip(chunk, rows):
-            np.add(pm_in, tab[g], out=buf)
-            np.minimum.reduce(buf, axis=1, out=row)
+            take(g, axis=1, out=buf, mode="clip")
+            np.add(buf, pm_in, out=buf)
+            np.minimum.reduce(buf, axis=0, out=row)
             np.bitwise_and(row, ~15, out=pm_out)
         np.copyto(hist[:, start: start + len(chunk)],
                   ring[:len(chunk)].swapaxes(0, 1), casting="unsafe")
@@ -274,7 +292,7 @@ def viterbi_decode(coded):
     pm[0, 0] = 0
     if head:
         lead = int(rx_sym[:head] @ weights[_RADIX - head:])
-        pm[0, :1 << head] = tab[lead, 0, 0, :1 << head]
+        pm[0, :1 << head] = tab[0, lead, 0, :1 << head]
     # the spare rows take the last segment's passes past the end
     hist = np.empty((n_passes + _SEGMENTS, n_states), dtype=np.uint8)
     _acs_segmented(pm, tab, groups, hist[n_passes - len(groups):])

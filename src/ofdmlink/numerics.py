@@ -96,4 +96,7 @@ def _box_muller(r, theta, out):
     theta *= 2.0 * np.pi
     np.cos(theta, out=out[0])
     np.sin(theta, out=out[1])
-    out *= r
+    # one lane at a time: on the (2, n) lanes of a complex array, numpy
+    # would run the lane axis innermost, in loops of 2 elements
+    for lane in out:
+        lane *= r

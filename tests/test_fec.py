@@ -167,11 +167,12 @@ def test_matches_per_step_reference_long_block(flip_rate):
 _W = fec._WARMUP
 
 
-# n_passes full radix-16 passes around the segment counts 2 and 16; head is
-# n_steps % 4, the steps of the short first pass
+# n_passes full radix-16 passes around the segment counts 2 and
+# fec._SEGMENTS; head is n_steps % 4, the steps of the short first pass
 @pytest.mark.parametrize("head", range(4))
 @pytest.mark.parametrize("n_passes", [2 * _W - 1, 2 * _W, 2 * _W + 1,
-                                      16 * _W - 1, 16 * _W + 1])
+                                      fec._SEGMENTS * _W - 1,
+                                      fec._SEGMENTS * _W + 1])
 def test_segment_edges_match_reference(n_passes, head):
     length = 4 * n_passes + head - DEFAULT_CODE.tail_bits
     noisy = _noisy_word(np.random.default_rng(n_passes + head), length, 0.2)
@@ -198,10 +199,11 @@ def test_failed_segment_check_reruns_and_stays_exact(monkeypatch):
     reruns = _count_single_row_passes(monkeypatch)
     noisy = _noisy_word(np.random.default_rng(6), 4000 - 6, 0.2)  # no head
     assert np.array_equal(viterbi_decode(noisy), _reference_viterbi(noisy))
-    # 1000 passes: 16 segments of 63 after the warm-up, the last cut to 54
-    length = -(-(1000 - 1) // 16)
+    # 1000 passes: fec._SEGMENTS segments after the warm-up, the last cut
+    length = -(-(1000 - 1) // fec._SEGMENTS)
     assert len(reruns) >= 1
-    assert set(reruns) <= {length, 1000 - 1 - 15 * length}
+    assert set(reruns) <= {length,
+                           1000 - 1 - (fec._SEGMENTS - 1) * length}
 
 
 def test_failed_segment_rerun_stops_where_the_metrics_meet(monkeypatch):
@@ -221,7 +223,7 @@ def test_failed_segment_rerun_stops_where_the_metrics_meet(monkeypatch):
     noisy = _noisy_word(np.random.default_rng(12), 44000, 0.2)
     assert np.array_equal(viterbi_decode(noisy), _reference_viterbi(noisy))
     n_passes = (44000 + DEFAULT_CODE.tail_bits) // 4  # no head
-    length = -(-(n_passes - 1) // 16)
+    length = -(-(n_passes - 1) // fec._SEGMENTS)
     reruns = {}
     for start, end in spans:
         k, offset = divmod(start - 1, length)
@@ -293,6 +295,17 @@ def test_one_block_decodes_to_one_dimension():
 def test_only_one_block_accepted(coded, message):
     with pytest.raises(FramingError, match=f"one block, got {message}"):
         viterbi_decode(coded)
+
+
+@pytest.mark.parametrize("message, dims", [
+    (np.uint8(1), "0 dimensions"),
+    (np.zeros((2, 5), dtype=np.uint8), "2 dimensions"),
+    (np.zeros((1, 4), dtype=np.uint8), "2 dimensions"),
+], ids=["scalar", "stack", "one-row"])
+def test_encoder_takes_only_one_block(message, dims):
+    with pytest.raises(FramingError,
+                       match=f"message bits must be one block, got {dims}"):
+        conv_encode(message)
 
 
 def test_short_block_rejected():
