@@ -191,6 +191,7 @@ def apply_fading(signal, realization):
     n_taps = min(traj.shape[0], n)
     if not n_taps:
         return np.zeros(n, dtype=np.complex128)
+    out = traj[0, :n]
     for l in range(n_taps):
         row = traj[l, l:n]
         if len(row) > 1:
@@ -199,7 +200,6 @@ def apply_fading(signal, realization):
             # numpy runs an in-place product of one sample as a reduction,
             # whose complex multiply may fuse a multiply-add
             row[:] = row * signal[: n - l]
-    out = traj[0, :n]
-    for l in range(1, n_taps):
-        out[l:] += traj[l, l:n]
+        if l:
+            out[l:] += row
     return out

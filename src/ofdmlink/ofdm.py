@@ -1,9 +1,9 @@
 """OFDM symbol assembly/disassembly and per-subcarrier equalization.
 
-Grid layout: 256-point FFT, 200 active subcarriers placed symmetrically
+Default grid: 256-point FFT, 200 active subcarriers placed symmetrically
 around a null DC (bins 1..100 and 156..255), cyclic prefix of 64 samples
-(1/4 of the FFT size).  Every 8th active bin carries a comb pilot (25
-pilots, 175 data bins per symbol).
+(a grid takes any prefix from 0 to its FFT size).  Every 8th active bin
+carries a comb pilot (25 pilots, 175 data bins per symbol).
 
 The transforms are numpy's: the forward FFT is unnormalized and the
 inverse carries the 1/N factor.  Assembly scales the inverse transform so
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft, ifft
 
-from .errors import FramingError, SingularChannelError
+from .errors import FramingError, SingularChannelError, check_integer
 
 __all__ = ["OfdmGrid", "default_grid", "assemble", "disassemble", "equalize_one_tap"]
 
@@ -26,7 +26,9 @@ __all__ = ["OfdmGrid", "default_grid", "assemble", "disassemble", "equalize_one_
 @dataclass(frozen=True)
 class OfdmGrid:
     """Bin layout of one OFDM symbol.  Its arrays are read-only copies,
-    because ``default_grid`` hands one grid to every caller."""
+    because ``default_grid`` hands one grid to every caller.  The prefix,
+    a copy of the body's tail, is 0 to fft_size samples long (64 in the
+    default grid)."""
 
     fft_size: int
     cp_len: int
@@ -36,8 +38,7 @@ class OfdmGrid:
     def __post_init__(self):
         if set(self.data_bins) & set(self.pilot_bins):
             raise FramingError("data and pilot bins overlap")
-        if self.cp_len * 4 != self.fft_size:
-            raise FramingError("cyclic prefix must be 1/4 of the FFT size")
+        check_integer("cp_len", self.cp_len, 0, self.fft_size)
         for name in ("data_bins", "pilot_bins"):
             array = np.array(getattr(self, name))
             array.setflags(write=False)
@@ -64,9 +65,9 @@ def default_grid():
     Built once: every call returns the same grid.
     """
     active = np.concatenate([np.arange(1, 101), np.arange(156, 256)])
-    pilot_bins = active[::8]
-    data_bins = np.array([b for b in active if b not in set(pilot_bins)])
-    return OfdmGrid(fft_size=256, cp_len=64, data_bins=data_bins, pilot_bins=pilot_bins)
+    return OfdmGrid(fft_size=256, cp_len=64,
+                    data_bins=np.delete(active, np.s_[::8]),
+                    pilot_bins=active[::8])
 
 
 def assemble(data_symbols, pilot_symbols, grid):
@@ -95,7 +96,7 @@ def assemble(data_symbols, pilot_symbols, grid):
     body[..., grid.pilot_bins] = pilot_symbols
     ifft(body, out=body)  # out= needs NumPy 2
     body *= grid.scale
-    frames[..., : grid.cp_len] = body[..., -grid.cp_len :]
+    frames[..., : grid.cp_len] = body[..., grid.fft_size - grid.cp_len :]
     return frames
 
 

@@ -351,16 +351,15 @@ class _Receiver:
     taps, n_train, grid) returns the data-bin values of the payload frames.
     It calls the chain's stages through this module's globals, so that a
     tracer's wrappers see them."""
-    trains: bool  # leads with cfg.training_symbols known frames
     time_domain: bool  # equalizes samples: known pilots, a training span
-    default_mu: float | None  # the step size when lms_mu is unset
+    default_mu: float | None  # lms_mu's default; None: no training frames
     equalize: object
 
 
 _RECEIVERS = {
-    "known_channel_zf": _Receiver(False, False, None, _known_channel_zf),
-    "pilot_fd_lms": _Receiver(True, False, 0.5, _pilot_fd_lms),
-    "pre_fft_lms": _Receiver(True, True, 3e-3, _pre_fft_lms),
+    "known_channel_zf": _Receiver(False, None, _known_channel_zf),
+    "pilot_fd_lms": _Receiver(False, 0.5, _pilot_fd_lms),
+    "pre_fft_lms": _Receiver(True, 3e-3, _pre_fft_lms),
 }
 
 
@@ -383,7 +382,7 @@ def run_point(cfg, snr_db, modulation=None, stream_id=0):
     grid = default_grid()
     rng = RngStream(cfg.seed, stream_id)
     receiver = _RECEIVERS[cfg.receiver_mode]
-    n_train = cfg.training_symbols if receiver.trains else 0
+    n_train = cfg.training_symbols if receiver.default_mu is not None else 0
 
     info_bits = (generate_source(cfg.n_bits) if cfg.source == "sine"
                  else rng.bits(cfg.n_bits))

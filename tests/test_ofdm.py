@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 from numpy.fft import fft, ifft
 
 from ofdmlink.channel import DEFAULT_TAPS, static_multipath
-from ofdmlink.errors import FramingError, SingularChannelError
+from ofdmlink.errors import FramingError, SimError, SingularChannelError
 from ofdmlink.ofdm import (assemble, default_grid, disassemble,
                            equalize_one_tap)
 
 GRID = default_grid()
+# no prefix, one below and one at the static channel's memory of 3 samples,
+# the default, and one as long as the body
+PREFIXES = (0, 1, 3, 64, 256)
 
 
 def random_payload(rng, n_frames=1):
@@ -64,17 +68,31 @@ def test_single_pilot_constant_magnitude():
     assert np.max(np.abs(mags - mags[0])) < 1e-9
 
 
-def test_cyclic_prefix_property():
-    d, p = random_payload(np.random.default_rng(1))
-    out = assemble(d, p, GRID)
-    assert np.max(np.abs(out[:64] - out[-64:])) < 1e-12
+@pytest.mark.parametrize("cp_len", PREFIXES)
+def test_cyclic_prefix_property(cp_len):
+    grid = dataclasses.replace(GRID, cp_len=cp_len)
+    d, p = random_payload(np.random.default_rng(1), n_frames=3)
+    out = assemble(d, p, grid)
+    assert out.shape == (3, grid.symbol_len)
+    # the prefix is a copy of the body's last cp_len samples
+    assert np.array_equal(out[:, :cp_len], out[:, grid.fft_size :])
 
 
-def test_round_trip_identity():
-    d, p = random_payload(np.random.default_rng(2))
-    d2, p2 = disassemble(assemble(d, p, GRID), GRID)
+@pytest.mark.parametrize("cp_len", PREFIXES)
+def test_round_trip_identity(cp_len):
+    grid = dataclasses.replace(GRID, cp_len=cp_len)
+    d, p = random_payload(np.random.default_rng(2), n_frames=3)
+    d2, p2 = disassemble(assemble(d, p, grid), grid)
     assert np.max(np.abs(d2 - d)) < 1e-9
     assert np.max(np.abs(p2 - p)) < 1e-9
+
+
+@pytest.mark.parametrize("cp_len", [-1, 257, 2.5, True])
+def test_grid_rejects_a_prefix_its_frames_cannot_hold(cp_len):
+    with pytest.raises(SimError) as exc:
+        dataclasses.replace(GRID, cp_len=cp_len)
+    message = str(exc.value)
+    assert "cp_len" in message and "\n" not in message
 
 
 def test_disassemble_all_zero():

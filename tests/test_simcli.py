@@ -788,6 +788,26 @@ def _assert_sweep_equals_single_points(cfg):
     assert run_sweep(cfg) == expected
 
 
+@pytest.mark.parametrize("cp_len", [0, 1, 256])
+def test_every_combination_runs_at_any_prefix(monkeypatch, cp_len):
+    # the chain reads the prefix from the grid; noiseless QPSK off the
+    # fading channel is error-free at every prefix, even below the static
+    # channel's memory of 3 samples
+    grid = replace(default_grid(), cp_len=cp_len)
+    monkeypatch.setattr(simcli, "default_grid", lambda: grid)
+    for receiver in _RECEIVERS:
+        for channel in ("awgn", "static", "rician"):
+            for coding in ("none", "cc_k7"):
+                point = run_point(SimConfig(
+                    channel=channel, coding=coding, receiver_mode=receiver,
+                    n_bits=4000), 300.0)
+                assert point.bits == 4000
+                assert point.errors == 0 or channel == "rician"
+    cfg = SimConfig(channel="static", snr_grid_db=(300.0,))
+    trace, _, _ = run_lms_trace(cfg)
+    assert len(trace.squared_errors) == cfg.training_symbols * grid.symbol_len
+
+
 @pytest.mark.parametrize("channel", ["awgn", "static", "rician"])
 @pytest.mark.parametrize("receiver", _RECEIVERS)
 def test_sweep_points_equal_single_point_calls(receiver, channel):
